@@ -69,6 +69,57 @@ class RawDatagram:
     payload: bytes
 
 
+class Inbox:
+    """Receive half of the transport duck type, shared by the bearers and
+    WDP endpoints.
+
+    Each arrival goes to the receiver callback, or waits in a backlog for
+    ``recv`` until one is set.  Once closed, arrivals are dropped, and
+    ``recv`` on an empty backlog raises ``closed_error(name)``, a fresh
+    instance each time.
+    """
+
+    def __init__(self, closed_error: type[Exception], name: str):
+        self._closed_error = closed_error
+        self._name = name
+        self._receiver = None
+        self._backlog: queue.Queue = queue.Queue()
+        self._closed = False
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise self._closed_error(self._name)
+
+    def _arrive(self, item) -> None:
+        if self._closed:
+            return
+        receiver = self._receiver
+        if receiver is None:
+            self._backlog.put(item)
+        else:
+            receiver(item)
+
+    def set_receiver(self, cb) -> None:
+        """Deliver via ``cb(item)`` instead of ``recv``; drains the backlog."""
+        self._receiver = cb
+        if cb is not None:
+            while True:
+                try:
+                    item = self._backlog.get_nowait()
+                except queue.Empty:
+                    return
+                cb(item)
+
+    def recv(self, timeout: float | None = None):
+        """Next arrival, or None when the wait times out."""
+        if self._closed and self._backlog.empty():
+            raise self._closed_error(self._name)
+        try:
+            return self._backlog.get(timeout=timeout)
+        except queue.Empty:
+            return None
+
+
 class SimNetwork:
     """In-process mesh of simulated bearer endpoints keyed by address."""
 
@@ -95,25 +146,23 @@ class SimNetwork:
         with self._lock:
             node = self._nodes.get(dgram.dst)
         if node is not None:
-            node._on_delivered(dgram)
+            node._arrive(dgram)
 
 
-class SimBearer:
+class SimBearer(Inbox):
     """One endpoint on a :class:`SimNetwork`; impairments apply on egress."""
 
     def __init__(self, network: SimNetwork, addr: str,
                  profile: ImpairmentProfile | None = None):
+        super().__init__(BearerClosed, addr)
         self._network = network
         self._addr = addr
         self._profile = (profile or ImpairmentProfile()).validate()
         self._rng = random.Random(self._profile.seed)
         self._lock = threading.Lock()
-        self._queue: queue.Queue[RawDatagram] = queue.Queue()
-        self._receiver = None
         self._held: list[RawDatagram] | None = None
         self._send_index = 0
         self._script = None
-        self._closed = False
 
     @property
     def local_addr(self) -> str:
@@ -144,8 +193,7 @@ class SimBearer:
 
     def send(self, dst: str, payload: bytes) -> None:
         with self._lock:
-            if self._closed:
-                raise BearerClosed(self._addr)
+            self._check_open()
             profile = self._profile
             if len(payload) > profile.mtu_bytes:
                 raise OversizeDatagram(
@@ -185,39 +233,6 @@ class SimBearer:
         self._network.clock.call_later(delay_ms / 1000.0,
                                        self._network._deliver, dgram)
 
-    def _on_delivered(self, dgram: RawDatagram) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            receiver = self._receiver
-        if receiver is not None:
-            receiver(dgram)
-        else:
-            self._queue.put(dgram)
-
-    def set_receiver(self, cb) -> None:
-        """Deliver via callback instead of the recv queue; drains any backlog."""
-        with self._lock:
-            self._receiver = cb
-        if cb is not None:
-            while True:
-                try:
-                    dgram = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                cb(dgram)
-
-    def recv(self, timeout: float | None = None) -> RawDatagram | None:
-        """Next delivered datagram, or None when the wait times out."""
-        if self._closed and self._queue.empty():
-            raise BearerClosed(self._addr)
-        try:
-            if timeout == 0:
-                return self._queue.get_nowait()
-            return self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
     def close(self) -> None:
         with self._lock:
             if self._closed:
@@ -238,7 +253,7 @@ def _parse_udp_addr(addr: str) -> tuple[str, int]:
     return host, int(port)
 
 
-class UdpBearer:
+class UdpBearer(Inbox):
     """UDP adapter: one socket per endpoint, payload bytes are the wire."""
 
     def __init__(self, bind: tuple[str, int] = ("127.0.0.1", 0),
@@ -248,10 +263,7 @@ class UdpBearer:
         self._sock.bind(bind)
         host, port = self._sock.getsockname()
         self._addr = f"{host}:{port}"
-        self._queue: queue.Queue[RawDatagram] = queue.Queue()
-        self._receiver = None
-        self._lock = threading.Lock()
-        self._closed = False
+        super().__init__(BearerClosed, self._addr)
         self._thread = threading.Thread(target=self._read_loop, daemon=True,
                                         name=f"udp-bearer-{port}")
         self._thread.start()
@@ -265,8 +277,7 @@ class UdpBearer:
         return self._mtu
 
     def send(self, dst: str, payload: bytes) -> None:
-        if self._closed:
-            raise BearerClosed(self._addr)
+        self._check_open()
         if len(payload) > self._mtu:
             raise OversizeDatagram(
                 f"payload {len(payload)} exceeds MTU {self._mtu}")
@@ -278,34 +289,7 @@ class UdpBearer:
                 data, (host, port) = self._sock.recvfrom(65535)
             except OSError:
                 return
-            dgram = RawDatagram(f"{host}:{port}", self._addr, data)
-            with self._lock:
-                receiver = self._receiver
-            if receiver is not None:
-                receiver(dgram)
-            else:
-                self._queue.put(dgram)
-
-    def set_receiver(self, cb) -> None:
-        with self._lock:
-            self._receiver = cb
-        if cb is not None:
-            while True:
-                try:
-                    dgram = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                cb(dgram)
-
-    def recv(self, timeout: float | None = None) -> RawDatagram | None:
-        if self._closed and self._queue.empty():
-            raise BearerClosed(self._addr)
-        try:
-            if timeout == 0:
-                return self._queue.get_nowait()
-            return self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
+            self._arrive(RawDatagram(f"{host}:{port}", self._addr, data))
 
     def close(self) -> None:
         if self._closed:

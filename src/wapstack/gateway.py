@@ -60,6 +60,10 @@ class ContentEncodeFailure(GatewayError):
     pass
 
 
+_ERROR_STATUS = {BadUri: 400, OriginUnreachable: 502,
+                 ContentEncodeFailure: 502, OriginTimeout: 504}
+
+
 @dataclass
 class GatewayConfig:
     listen_host: str = "127.0.0.1"
@@ -138,18 +142,11 @@ def fetch_origin(exchange: HttpExchange, timeout_s: float) -> HttpExchange:
     return exchange
 
 
-def _content_type(headers: list[tuple[str, str]]) -> str:
-    for name, value in headers:
-        if name.lower() == "content-type":
-            return value.split(";", 1)[0].strip()
-    return ""
-
-
 def translate_response(exchange: HttpExchange) -> tuple[int, list[tuple[str, str]], bytes]:
     """Compact the response half; WML bodies become tokenized binary."""
     body = exchange.response_body
     headers: list[tuple[str, str]] = []
-    rewrite_wml = _content_type(exchange.response_headers) == WML_MIME
+    rewrite_wml = wsp.content_type(exchange.response_headers) == WML_MIME
     if rewrite_wml:
         try:
             body = wml.encode(wml.parse(exchange.response_body.decode("ascii")))
@@ -227,15 +224,9 @@ class Gateway:
         try:
             exchange = self._fetch(translate_request(msg))
             status, out_headers, out_body = translate_response(exchange)
-        except BadUri as exc:
-            status, out_headers, out_body = 400, [("Content-Type", "text/plain")], \
-                str(exc).encode("ascii", "replace")
-        except (OriginUnreachable, ContentEncodeFailure) as exc:
-            status, out_headers, out_body = 502, [("Content-Type", "text/plain")], \
-                str(exc).encode("ascii", "replace")
-        except OriginTimeout as exc:
-            status, out_headers, out_body = 504, [("Content-Type", "text/plain")], \
-                str(exc).encode("ascii", "replace")
+        except GatewayError as exc:
+            status, out_headers = _ERROR_STATUS[type(exc)], wsp.TEXT_PLAIN
+            out_body = str(exc).encode("ascii", "replace")
         dur_ms = (time.monotonic() - start) * 1000.0
         log.info("session=%d tid=%d method=%s uri=%s status=%d dur_ms=%.1f",
                  ctx["session_id"], ctx["tid"], method, uri, status, dur_ms)

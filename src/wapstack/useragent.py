@@ -43,10 +43,7 @@ class FetchResult:
 
     @property
     def content_type(self) -> str:
-        for name, value in self.reply.headers:
-            if name.lower() == "content-type":
-                return value.split(";", 1)[0].strip()
-        return ""
+        return wsp.content_type(self.reply.headers)
 
 
 def _collect_text(el: wml.Element) -> str:

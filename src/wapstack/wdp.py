@@ -15,13 +15,12 @@ byte count.
 
 from __future__ import annotations
 
-import queue
 import struct
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bearer import OversizeDatagram, RawDatagram
+from .bearer import Inbox, OversizeDatagram, RawDatagram
 
 HEADER_FORMAT = "!HHH"
 HEADER_SIZE = struct.calcsize(HEADER_FORMAT)  # 6 bytes
@@ -148,7 +147,7 @@ class WdpStack:
         if endpoint is None:
             self.dropped_count += 1
             return
-        endpoint._deliver(WdpAddress(raw.src, dgram.src_port), dgram.payload)
+        endpoint._arrive((WdpAddress(raw.src, dgram.src_port), dgram.payload))
 
     def close(self) -> None:
         with self._lock:
@@ -158,16 +157,14 @@ class WdpStack:
         self._bearer.close()
 
 
-class WdpEndpoint:
-    """One bound port; safe for concurrent send and receive."""
+class WdpEndpoint(Inbox):
+    """One bound port; safe for concurrent send and receive.  ``recv``
+    returns ``(src, payload)``."""
 
     def __init__(self, stack: WdpStack, port: int):
+        super().__init__(EndpointClosed, f"port {port}")
         self._stack = stack
         self.port = port
-        self._receiver = None
-        self._lock = threading.Lock()
-        self._queue: "queue.Queue[tuple[WdpAddress, bytes]]" = queue.Queue()
-        self._closed = False
 
     @property
     def local_address(self) -> WdpAddress:
@@ -178,8 +175,7 @@ class WdpEndpoint:
         return self._stack.bearer.mtu - HEADER_SIZE
 
     def send(self, dst: WdpAddress, payload: bytes) -> None:
-        if self._closed:
-            raise EndpointClosed(f"port {self.port}")
+        self._check_open()
         if len(payload) > self.max_payload:
             raise OversizeDatagram(
                 f"payload {len(payload)} exceeds {self.max_payload} "
@@ -187,36 +183,9 @@ class WdpEndpoint:
         data = encode_datagram(WdpDatagram(self.port, dst.port, bytes(payload)))
         self._stack.bearer.send(dst.host, data)
 
-    def _deliver(self, src: WdpAddress, payload: bytes) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            receiver = self._receiver
-        if receiver is not None:
-            receiver(src, payload)
-        else:
-            self._queue.put((src, payload))
-
     def set_receiver(self, cb) -> None:
-        with self._lock:
-            self._receiver = cb
-        if cb is not None:
-            while True:
-                try:
-                    src, payload = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                cb(src, payload)
-
-    def recv(self, timeout: float | None = None) -> tuple[WdpAddress, bytes] | None:
-        if self._closed and self._queue.empty():
-            raise EndpointClosed(f"port {self.port}")
-        try:
-            if timeout == 0:
-                return self._queue.get_nowait()
-            return self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
+        """Deliver via ``cb(src, payload)``; drains the backlog."""
+        super().set_receiver(None if cb is None else lambda item: cb(*item))
 
     def close(self) -> None:
         if self._closed:

@@ -27,6 +27,7 @@ retransmits.
 from __future__ import annotations
 
 import itertools
+import logging
 import os
 import struct
 import threading
@@ -34,7 +35,10 @@ import time
 from dataclasses import dataclass, field
 
 from . import wtp
+from .bearer import OversizeDatagram
 from .wdp import WdpAddress
+
+log = logging.getLogger(__name__)
 
 PDU_CONNECT = 0x01
 PDU_CONNECT_REPLY = 0x02
@@ -262,6 +266,14 @@ def decode_message(data: bytes) -> WspMessage:
     return msg
 
 
+def content_type(headers: list[tuple[str, str]]) -> str:
+    """Media type of the first Content-Type header, parameters stripped."""
+    for name, value in headers:
+        if name.lower() == "content-type":
+            return value.split(";", 1)[0].strip()
+    return ""
+
+
 # --- client ------------------------------------------------------------------
 
 class WspSession:
@@ -354,6 +366,39 @@ class WspClient:
 
 # --- server ------------------------------------------------------------------
 
+TEXT_PLAIN = (("Content-Type", "text/plain"),)
+
+
+def _encode_reply(status: int, headers, body: bytes) -> bytes:
+    return encode_message(WspMessage(PDU_REPLY, status=status, headers=headers,
+                                     body=body))
+
+
+def _run_handler(handler, executor, method: str, msg: WspMessage, ctx,
+                 send) -> None:
+    """Run ``handler`` (on ``executor`` when given) and ``send`` the encoded
+    Reply.  A failing handler is logged and answered 500; a Reply too large
+    for one datagram is answered 502, so the client never waits it out."""
+    def work():
+        try:
+            reply = _encode_reply(*handler(method, msg.uri, msg.headers,
+                                           msg.body, ctx))
+        except Exception:
+            log.exception("handler failed: %s %s", method, msg.uri)
+            reply = _encode_reply(500, TEXT_PLAIN, b"internal handler error")
+        try:
+            send(reply)
+        except (wtp.OversizePayload, OversizeDatagram) as exc:
+            log.warning("reply to %s %s too large: %s", method, msg.uri, exc)
+            send(_encode_reply(502, TEXT_PLAIN,
+                               b"reply too large for one datagram"))
+
+    if executor is not None:
+        executor.submit(work)
+    else:
+        work()
+
+
 class _SessionRecord:
     __slots__ = ("session_id", "peer", "state", "negotiated_headers",
                  "last_active")
@@ -416,7 +461,7 @@ class WspServer:
             msg = decode_message(inv.payload)
         except WspError:
             if inv.tclass == 2:
-                self._reply(inv, 400, [], b"malformed WSP message")
+                self._reply(inv, 400, b"malformed WSP message")
             return
         if msg.pdu_type == PDU_CONNECT:
             self._handle_connect(inv, msg)
@@ -429,11 +474,10 @@ class WspServer:
         elif msg.pdu_type == PDU_DISCONNECT:
             self._handle_disconnect(inv)
         elif inv.tclass == 2:
-            self._reply(inv, 400, [], b"unexpected pdu type")
+            self._reply(inv, 400, b"unexpected pdu type")
 
-    def _reply(self, inv, status, headers, body) -> None:
-        msg = WspMessage(PDU_REPLY, status=status, headers=headers, body=body)
-        inv.respond(encode_message(msg))
+    def _reply(self, inv, status, body) -> None:
+        inv.respond(_encode_reply(status, [], body))
 
     def _handle_connect(self, inv, msg) -> None:
         negotiated = self._capability_filter(msg.headers)
@@ -466,7 +510,7 @@ class WspServer:
                 rec.last_active = self._clock.now()
                 self._by_peer[inv.src] = rec.session_id
         if refuse:
-            self._reply(inv, 404, [], b"no such session")
+            self._reply(inv, 404, b"no such session")
         else:
             reply = WspMessage(PDU_CONNECT_REPLY, session_id=rec.session_id,
                                headers=rec.negotiated_headers)
@@ -487,24 +531,11 @@ class WspServer:
             else:
                 rec.last_active = self._clock.now()
         if rec is None:
-            self._reply(inv, 400, [], b"no connected session")
+            self._reply(inv, 400, b"no connected session")
             return
         ctx = {"session_id": rec.session_id, "tid": inv.tid}
-        method = _METHODS[msg.pdu_type]
-
-        def work():
-            try:
-                status, headers, body = self._handler(method, msg.uri,
-                                                      msg.headers, msg.body, ctx)
-            except Exception:
-                status, headers, body = 500, [("Content-Type", "text/plain")], \
-                    b"internal handler error"
-            self._reply(inv, status, headers, body)
-
-        if self._executor is not None:
-            self._executor.submit(work)
-        else:
-            work()
+        _run_handler(self._handler, self._executor, _METHODS[msg.pdu_type],
+                     msg, ctx, inv.respond)
 
     def close(self) -> None:
         self._closed = True
@@ -546,32 +577,14 @@ class ConnectionlessResponder:
         endpoint.set_receiver(self._on_datagram)
 
     def _on_datagram(self, src: WdpAddress, data: bytes) -> None:
-        if not data:
+        try:
+            msg = decode_message(data[1:])  # empty data fails here too
+        except WspError:
+            msg = None
+        if msg is None or msg.pdu_type != PDU_GET:
             self.malformed_count += 1
             return
         rid = data[0]
-        try:
-            msg = decode_message(data[1:])
-        except WspError:
-            self.malformed_count += 1
-            return
-        if msg.pdu_type != PDU_GET:
-            self.malformed_count += 1
-            return
-
-        def work():
-            ctx = {"session_id": 0, "tid": rid}
-            try:
-                status, headers, body = self._handler("GET", msg.uri,
-                                                      msg.headers, msg.body, ctx)
-            except Exception:
-                status, headers, body = 500, [("Content-Type", "text/plain")], \
-                    b"internal handler error"
-            reply = WspMessage(PDU_REPLY, status=status, headers=headers,
-                               body=body)
-            self._endpoint.send(src, bytes([rid]) + encode_message(reply))
-
-        if self._executor is not None:
-            self._executor.submit(work)
-        else:
-            work()
+        _run_handler(self._handler, self._executor, "GET", msg,
+                     {"session_id": 0, "tid": rid},
+                     lambda reply: self._endpoint.send(src, bytes([rid]) + reply))

@@ -569,16 +569,13 @@ class WtlsServerTransport:
                 return
             identity, client_nonce, suites = parse_client_hello(rec.body)
             psk = self._psk_table.get(identity)
-            if psk is None:
-                self.handshake_failures += 1
-                _HandshakeChannel(self._endpoint)._send_plain(
-                    src, CONTENT_ALERT, bytes([ALERT_AUTH_FAILURE]))
-                return
             chosen = next((s for s in suites if s in self._allowed), None)
-            if chosen is None:
+            if psk is None or chosen is None:
                 self.handshake_failures += 1
-                _HandshakeChannel(self._endpoint)._send_plain(
-                    src, CONTENT_ALERT, bytes([ALERT_SUITE_MISMATCH]))
+                alert = ALERT_AUTH_FAILURE if psk is None else ALERT_SUITE_MISMATCH
+                # no peer state is kept, so the alert record is seq 0
+                self._endpoint.send(src, encode_record(
+                    WtlsRecord(CONTENT_ALERT, 0, bytes([alert]))))
                 return
             peer = _ServerPeer(self._endpoint)
             peer.client_hello = rec.body
@@ -594,7 +591,7 @@ class WtlsServerTransport:
             peer._send_plain(src, CONTENT_HANDSHAKE, peer.server_hello)
         elif msg_type == HS_FINISHED and peer is not None:
             transcript = peer.client_hello + peer.server_hello
-            pending = getattr(peer, "pending", None) or peer.session
+            pending = peer.pending or peer.session
             if pending is None:
                 return
             expected = finished_mac(pending.recv_mac_key, transcript)

@@ -213,6 +213,12 @@ class RetransmissionPolicy:
         return self
 
 
+def _cancel(*timers) -> None:
+    for timer in timers:
+        if timer:
+            timer.cancel()
+
+
 class TraceEvent(NamedTuple):
     direction: str   # "snd" | "rcv"
     pdu_type: str
@@ -371,15 +377,11 @@ class WtpProvider:
     def _seconds(self, ms: int) -> float:
         return ms / 1000.0
 
-    def _schedule_cleanup_initiator(self, txn: _InitiatorTxn) -> None:
+    def _linger(self, table: dict, key, txn) -> None:
+        """Forget ``table[key]`` after ``linger_ms``; until then duplicates
+        of the finished transaction are still answered."""
         txn.cleanup = self._clock.call_later(
-            self._seconds(self.policy.linger_ms),
-            self._initiator.pop, txn.handle.tid, None)
-
-    def _schedule_cleanup_responder(self, txn: _ResponderTxn) -> None:
-        txn.cleanup = self._clock.call_later(
-            self._seconds(self.policy.linger_ms),
-            self._responder.pop, (txn.src, txn.tid), None)
+            self._seconds(self.policy.linger_ms), table.pop, key, None)
 
     # --- initiator API ------------------------------------------------------
 
@@ -417,7 +419,7 @@ class WtpProvider:
                 txn.handle._complete(
                     ABORTED, TransactionTimeout(
                         f"tid {tid}: {txn.retransmits} retransmissions exhausted"))
-                self._schedule_cleanup_initiator(txn)
+                self._linger(self._initiator, tid, txn)
                 return
             txn.retransmits += 1
             self._send(txn.dst, WtpPdu(PDU_INVOKE, tid, rid=True, uak=txn.uak,
@@ -434,11 +436,10 @@ class WtpProvider:
             txn = self._initiator.get(handle.tid)
             if txn is None:
                 raise UnknownTid(f"tid {handle.tid}")
-            if txn.timer:
-                txn.timer.cancel()
+            _cancel(txn.timer)
             self._send(txn.dst, WtpPdu(PDU_ABORT, handle.tid, abort_reason=reason))
             handle._complete(ABORTED, Aborted(reason))
-            self._schedule_cleanup_initiator(txn)
+            self._linger(self._initiator, handle.tid, txn)
 
     # --- responder API ------------------------------------------------------
 
@@ -454,8 +455,7 @@ class WtpProvider:
                 raise WrongClass(f"tid {tid} is class {txn.tclass}, result needs class 2")
             if txn.state not in (INVOKE_RCVD, WAIT_USER_ACK):
                 raise WrongState(f"tid {tid} in state {txn.state}")
-            if txn.ack_timer:
-                txn.ack_timer.cancel()
+            _cancel(txn.ack_timer)
             txn.result_payload = payload
             txn.state = RESULT_SENT
             self._send(src, WtpPdu(PDU_RESULT, tid, payload=payload))
@@ -470,7 +470,7 @@ class WtpProvider:
                 return
             if txn.retransmits >= self.policy.max_retrans:
                 txn.state = ABORTED
-                self._schedule_cleanup_responder(txn)
+                self._linger(self._responder, (src, tid), txn)
                 return
             txn.retransmits += 1
             self._send(src, WtpPdu(PDU_RESULT, tid, rid=True,
@@ -495,7 +495,7 @@ class WtpProvider:
             self._send(src, WtpPdu(PDU_ACK, tid, oob=oob))
             if txn.tclass == 1:
                 txn.state = DONE
-                self._schedule_cleanup_responder(txn)
+                self._linger(self._responder, (src, tid), txn)
             else:
                 txn.state = INVOKE_RCVD  # awaiting respond()
 
@@ -506,12 +506,10 @@ class WtpProvider:
                 raise UnknownTid(f"tid {tid} from {src}")
             if txn.state in (DONE, ABORTED):
                 raise AlreadyCompleted(f"tid {tid} already completed")
-            for timer in (txn.ack_timer, txn.result_timer):
-                if timer:
-                    timer.cancel()
+            _cancel(txn.ack_timer, txn.result_timer)
             self._send(src, WtpPdu(PDU_ABORT, tid, abort_reason=reason))
             txn.state = ABORTED
-            self._schedule_cleanup_responder(txn)
+            self._linger(self._responder, (src, tid), txn)
 
     def _on_ack_delay(self, src, tid: int) -> None:
         with self._lock:
@@ -561,34 +559,31 @@ class WtpProvider:
                 return
             if pdu.oob:
                 handle.oob = pdu.oob
-            if txn.timer:
-                txn.timer.cancel()
+            _cancel(txn.timer)
             if handle.tclass == 1:
                 handle._complete(DONE)
-                self._schedule_cleanup_initiator(txn)
+                self._linger(self._initiator, handle.tid, txn)
             else:
                 txn.acked = True
         elif pdu.pdu_type == PDU_RESULT:
             if handle.tclass != 2:
                 return
             if handle.state == INVOKE_SENT:
-                if txn.timer:
-                    txn.timer.cancel()
+                _cancel(txn.timer)
                 handle.state = RESULT_RCVD
                 handle.result = pdu.payload
                 self._send(txn.dst, WtpPdu(PDU_ACK, handle.tid))
                 handle._complete(DONE)
-                self._schedule_cleanup_initiator(txn)
+                self._linger(self._initiator, handle.tid, txn)
             elif handle.state == DONE:
                 # duplicate Result: our Ack was lost, repeat it
                 self._send(txn.dst, WtpPdu(PDU_ACK, handle.tid, rid=True))
         elif pdu.pdu_type == PDU_ABORT:
             if handle.done:
                 return
-            if txn.timer:
-                txn.timer.cancel()
+            _cancel(txn.timer)
             handle._complete(ABORTED, Aborted(pdu.abort_reason))
-            self._schedule_cleanup_initiator(txn)
+            self._linger(self._initiator, handle.tid, txn)
 
     def _on_invoke_pdu(self, src, pdu: WtpPdu) -> None:
         key = (src, pdu.tid)
@@ -600,14 +595,14 @@ class WtpProvider:
         self._responder[key] = txn
         if pdu.tclass == 0:
             txn.state = DONE
-            self._schedule_cleanup_responder(txn)
+            self._linger(self._responder, key, txn)
         elif pdu.uak:
             txn.state = WAIT_USER_ACK
         elif pdu.tclass == 1:
             txn.acked_standalone = True
             txn.state = DONE
             self._send(src, WtpPdu(PDU_ACK, pdu.tid))
-            self._schedule_cleanup_responder(txn)
+            self._linger(self._responder, key, txn)
         else:  # class 2, provider-acknowledged
             txn.ack_timer = self._clock.call_later(
                 self._seconds(self.policy.ack_delay_ms),
@@ -628,32 +623,31 @@ class WtpProvider:
     def _on_responder_pdu(self, txn: _ResponderTxn, pdu: WtpPdu) -> None:
         if pdu.pdu_type == PDU_ACK:
             if txn.state == RESULT_SENT:
-                if txn.result_timer:
-                    txn.result_timer.cancel()
+                _cancel(txn.result_timer)
                 txn.state = DONE
-                self._schedule_cleanup_responder(txn)
+                self._linger(self._responder, (txn.src, txn.tid), txn)
         elif pdu.pdu_type == PDU_ABORT:
             if txn.state in (DONE, ABORTED):
                 return
-            for timer in (txn.ack_timer, txn.result_timer):
-                if timer:
-                    timer.cancel()
+            _cancel(txn.ack_timer, txn.result_timer)
             txn.state = ABORTED
-            self._schedule_cleanup_responder(txn)
+            self._linger(self._responder, (txn.src, txn.tid), txn)
             if self.on_abort is not None:
                 self.on_abort(txn.src, txn.tid, pdu.abort_reason)
         # Invoke handled earlier; Result to a responder is nonsense, drop
 
     def close(self) -> None:
+        """Stop every timer; pending handles fail with "provider closed"."""
         with self._lock:
             self._closed = True
-            for txn in self._initiator.values():
-                for timer in (txn.timer, txn.cleanup):
-                    if timer:
-                        timer.cancel()
+            initiators = list(self._initiator.values())
+            for txn in initiators:
+                _cancel(txn.timer, txn.cleanup)
             for txn in self._responder.values():
-                for timer in (txn.ack_timer, txn.result_timer, txn.cleanup):
-                    if timer:
-                        timer.cancel()
+                _cancel(txn.ack_timer, txn.result_timer, txn.cleanup)
             self._initiator.clear()
             self._responder.clear()
+            # after the teardown, so a callback that raises leaves no timer
+            for txn in initiators:
+                if not txn.handle.done:
+                    txn.handle._complete(ABORTED, WtpError("provider closed"))

@@ -1,10 +1,14 @@
 """Simulated impaired bearer and the UDP adapter."""
 
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from wapstack.bearer import (BearerClosed, ImpairmentProfile, InvalidProfile,
                              OversizeDatagram, SimNetwork, UdpBearer)
 from wapstack.clock import VirtualClock
+from wapstack.wdp import EndpointClosed, WdpAddress, WdpStack
 
 
 def make_pair(clock, a_profile=None, b_profile=None):
@@ -172,3 +176,66 @@ def test_udp_oversize_and_close():
     a.close()
     with pytest.raises(BearerClosed):
         a.send("127.0.0.1:1", b"x")
+
+
+# --- the receive inbox, on each of its three users ----------------------------
+
+def _sim_inbox():
+    clock = VirtualClock()
+    _, a, b = make_pair(clock)
+    return SimpleNamespace(send=lambda p: a.send("b", p), target=b,
+                           settle=clock.run_until_idle,
+                           payload=lambda dgram: dgram.payload,
+                           closed_error=BearerClosed, owned=[a, b])
+
+
+def _udp_inbox():
+    a, b = UdpBearer(), UdpBearer()
+
+    def settle():  # the reader thread queues arrivals asynchronously
+        deadline = time.monotonic() + 2.0
+        while b._backlog.qsize() < 3 and time.monotonic() < deadline:
+            time.sleep(0.005)
+
+    return SimpleNamespace(send=lambda p: a.send(b.local_addr, p), target=b,
+                           settle=settle, payload=lambda dgram: dgram.payload,
+                           closed_error=BearerClosed, owned=[a, b])
+
+
+def _wdp_inbox():
+    clock = VirtualClock()
+    net = SimNetwork(clock)
+    a = WdpStack(net.endpoint("a")).bind(100)
+    b = WdpStack(net.endpoint("b")).bind(200)
+    return SimpleNamespace(send=lambda p: a.send(WdpAddress("b", 200), p),
+                           target=b, settle=clock.run_until_idle,
+                           payload=lambda item: item[1],
+                           closed_error=EndpointClosed, owned=[a, b])
+
+
+@pytest.mark.parametrize("make", [_sim_inbox, _udp_inbox, _wdp_inbox],
+                         ids=["sim", "udp", "wdp"])
+def test_inbox_backlog_recv_and_close(make):
+    case = make()
+    try:
+        for payload in (b"1", b"2", b"3"):
+            case.send(payload)
+        case.settle()
+        assert case.payload(case.target.recv(timeout=0)) == b"1"
+        seen = []
+        # a bearer receiver gets one datagram, a WDP one (src, payload)
+        case.target.set_receiver(lambda *args: seen.append(
+            case.payload(args[0] if len(args) == 1 else args)))
+        assert seen == [b"2", b"3"]
+        case.target.set_receiver(None)
+        assert case.target.recv(timeout=0) is None
+        case.target.close()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(case.closed_error) as info:
+                case.target.recv(timeout=0)
+            errors.append(info.value)
+        assert errors[0] is not errors[1]
+    finally:
+        for obj in case.owned:
+            obj.close()

@@ -1,6 +1,7 @@
 """Gateway translation units and end-to-end fetches through the stack."""
 
 import logging
+import time
 
 import pytest
 
@@ -108,12 +109,13 @@ def test_parse_config_file(tmp_path):
 
 # --- end to end over the simulated bearer -------------------------------------
 
-def make_rig(real_clock, fetch=None, profile=None, config=None):
+def make_rig(real_clock, fetch=None, profile=None, config=None, timeout=15.0):
     cfg = config or gw.GatewayConfig()
     net = SimNetwork(real_clock)
     service = gw.Gateway(cfg, clock=real_clock, network=net, fetch=fetch)
     ua = UserAgent(WdpAddress("gateway", cfg.listen_port),
-                   net.endpoint("handset", profile), clock=real_clock)
+                   net.endpoint("handset", profile), clock=real_clock,
+                   timeout=timeout)
     return service, ua
 
 
@@ -180,6 +182,28 @@ def test_local_fetch_mode_and_log_line(real_clock, caplog):
         assert "session=" in line and "tid=" in line and "status=200" in line
         assert "uri=http://local/p" in line and "dur_ms=" in line
         assert ua.fetch("http://local/other").reply.status == 404
+    finally:
+        ua.close()
+        service.close()
+
+
+def test_oversize_reply_gets_prompt_502(real_clock, caplog):
+    # 3000 B cannot ride one datagram: the client must get a status long
+    # before its own 2 s timeout, on both the session and connectionless paths.
+    pages = {"/big": ("text/plain", b"x" * 3000)}
+    service, ua = make_rig(real_clock, fetch=gw.local_content_fetch(pages),
+                           timeout=2.0)
+    try:
+        for connectionless in (False, True):
+            start = time.monotonic()
+            reply = ua.fetch("http://local/big",
+                             connectionless=connectionless).reply
+            assert time.monotonic() - start < 1.0
+            assert reply.status == 502
+            assert reply.headers == [("Content-Type", "text/plain")]
+        warned = [r for r in caplog.records if r.levelno == logging.WARNING
+                  and "too large" in r.getMessage()]
+        assert len(warned) == 2
     finally:
         ua.close()
         service.close()

@@ -1,5 +1,6 @@
 """Session lifecycle against a live in-process server (real clock, clean sim)."""
 
+import logging
 import time
 
 import pytest
@@ -137,13 +138,16 @@ def test_two_clients_get_distinct_sessions(real_clock):
     assert rig.server.session_count() == 2
 
 
-def test_handler_exception_maps_to_500(real_clock):
+def test_handler_exception_maps_to_500(real_clock, caplog):
     def broken(method, uri, headers, body, ctx):
         raise RuntimeError("boom")
 
     rig = Rig(real_clock, handler=broken)
     session = rig.client.connect()
     assert session.get("/kaboom").status == 500
+    logged = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(logged) == 1 and "/kaboom" in logged[0].getMessage()
+    assert str(logged[0].exc_info[1]) == "boom"
 
 
 def test_malformed_wsp_payload_gets_400(real_clock):

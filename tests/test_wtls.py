@@ -219,6 +219,37 @@ def test_suite_mismatch_alert(real_clock):
     assert server.handshake_failures == 1
 
 
+class _RecordingEndpoint:
+    max_payload = 1394
+
+    def __init__(self):
+        self.sent = []
+        self.deliver = None
+
+    def set_receiver(self, cb):
+        self.deliver = cb
+
+    def send(self, dst, data):
+        self.sent.append(data)
+
+
+@pytest.mark.parametrize("identity, suites, alert", [
+    (b"mallory", [wtls.SUITE_NULL_MAC], wtls.ALERT_AUTH_FAILURE),
+    (b"alice", [0x7F], wtls.ALERT_SUITE_MISMATCH),
+], ids=["unknown-identity", "no-common-suite"])
+def test_refused_hello_alert_wire_bytes(identity, suites, alert):
+    endpoint = _RecordingEndpoint()
+    server = wtls.WtlsServerTransport(endpoint, {b"alice": PSK})
+    hello = wtls.encode_record(wtls.WtlsRecord(
+        wtls.CONTENT_HANDSHAKE, 0,
+        wtls.build_client_hello(identity, b"n" * 16, suites)))
+    for _ in range(2):  # no peer state is kept: each refusal is seq 0
+        endpoint.deliver(WdpAddress("client", 1), hello)
+    assert endpoint.sent == [bytes([wtls.CONTENT_ALERT, 0, 0, 0, 0, 0, 1,
+                                    alert])] * 2
+    assert server.handshake_failures == 2
+
+
 def test_tampered_appdata_counts_as_drop(real_clock):
     server, client = handshake_fixture(real_clock)
     client.handshake(timeout=5.0)

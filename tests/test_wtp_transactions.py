@@ -252,3 +252,17 @@ def test_close_cancels_outstanding_work():
     pair.cli.close()
     with pytest.raises(wtp.WtpError):
         pair.cli.invoke(SRV, 2, b"after close")
+
+
+def test_close_completes_pending_handles():
+    pair = Pair(cli_profile=ImpairmentProfile(loss_prob=1.0))
+    handle = pair.cli.invoke(SRV, 2, b"stranded")
+    calls = []
+    handle.add_done_callback(calls.append)
+    pair.cli.close()
+    with pytest.raises(wtp.WtpError, match="provider closed"):
+        handle.wait(1.0)
+    assert handle.state == wtp.ABORTED
+    pair.cli.close()
+    handle.add_done_callback(calls.append)
+    assert calls == [handle, handle]  # once at close, once when added late
