@@ -15,11 +15,14 @@ framing; its bearer address is an ``"ip:port"`` string.
 
 from __future__ import annotations
 
+import logging
 import queue
 import random
 import socket
 import threading
 from dataclasses import dataclass
+
+log = logging.getLogger(__name__)
 
 DEFAULT_MTU = 1400
 
@@ -289,7 +292,11 @@ class UdpBearer(Inbox):
                 data, (host, port) = self._sock.recvfrom(65535)
             except OSError:
                 return
-            self._arrive(RawDatagram(f"{host}:{port}", self._addr, data))
+            try:
+                self._arrive(RawDatagram(f"{host}:{port}", self._addr, data))
+            except Exception:  # a receiver bug costs one datagram, not the reader
+                log.exception("receiver failed on a datagram from %s:%d",
+                              host, port)
 
     def close(self) -> None:
         if self._closed:

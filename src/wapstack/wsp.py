@@ -18,7 +18,8 @@ Status compaction: ``(code // 100) << 4 | code % 100`` when the remainder
 fits a nibble (200 -> 0x20, 404 -> 0x44, 502 -> 0x52); otherwise the escape
 byte 0xFF followed by the literal uint16 code.
 
-Transaction mapping: Connect/Resume/Get/Post ride WTP class 2;
+Transaction mapping: Connect/Resume/Get/Post ride WTP class 2, and the
+server ignores them on any other class, which cannot carry a reply;
 Suspend/Disconnect ride class 0.  The connectionless service prefixes one
 id byte to a Get/Reply pair on the dedicated WDP port and never
 retransmits.
@@ -300,10 +301,9 @@ class WspSession:
             raise SessionNotConnected(f"session {self.session_id} is {self.state}")
         msg = WspMessage(pdu_type, uri=uri, headers=list(headers), body=body)
         try:
-            handle = self._client._invoke2(encode_message(msg), timeout)
+            reply = self._client._round_trip(msg, timeout)
         except wtp.Aborted as exc:
             raise MethodAborted(str(exc)) from exc
-        reply = decode_message(handle.result)
         if reply.pdu_type != PDU_REPLY:
             raise MalformedMessage(f"expected Reply, got {reply.pdu_type:#04x}")
         return reply
@@ -313,16 +313,16 @@ class WspSession:
             if self.state != CONNECTED:
                 raise WrongState(f"cannot suspend from {self.state}")
             msg = WspMessage(PDU_SUSPEND, session_id=self.session_id)
-            self._client._invoke0(encode_message(msg))
+            self._client._provider.invoke(self._client._gateway, 0,
+                                          encode_message(msg))
             self.state = SUSPENDED
 
     def resume(self, timeout: float = 30.0) -> None:
         with self._lock:
             if self.state != SUSPENDED:
                 raise WrongState(f"cannot resume from {self.state}")
-            msg = WspMessage(PDU_RESUME, session_id=self.session_id)
-            handle = self._client._invoke2(encode_message(msg), timeout)
-            reply = decode_message(handle.result)
+            reply = self._client._round_trip(
+                WspMessage(PDU_RESUME, session_id=self.session_id), timeout)
             if reply.pdu_type != PDU_CONNECT_REPLY or reply.session_id != self.session_id:
                 raise ResumeRefused(
                     f"server would not resume session {self.session_id}")
@@ -333,8 +333,8 @@ class WspSession:
         with self._lock:
             if self.state == CLOSED:
                 raise WrongState("session already closed")
-            msg = WspMessage(PDU_DISCONNECT)
-            self._client._invoke0(encode_message(msg))
+            self._client._provider.invoke(
+                self._client._gateway, 0, encode_message(WspMessage(PDU_DISCONNECT)))
             self.state = CLOSED
 
 
@@ -345,18 +345,16 @@ class WspClient:
         self._provider = provider
         self._gateway = gateway_addr
 
-    def _invoke2(self, payload: bytes, timeout: float):
-        handle = self._provider.invoke(self._gateway, 2, payload)
-        return handle.wait(timeout)
-
-    def _invoke0(self, payload: bytes) -> None:
-        self._provider.invoke(self._gateway, 0, payload)
+    def _round_trip(self, msg: WspMessage, timeout: float) -> WspMessage:
+        """Send ``msg`` on a class-2 transaction; return the decoded Result.
+        Each caller checks the reply's PDU type, because each maps a wrong
+        one to its own exception."""
+        handle = self._provider.invoke(self._gateway, 2, encode_message(msg))
+        return decode_message(handle.wait(timeout).result)
 
     def connect(self, capability_headers=None, timeout: float = 30.0) -> WspSession:
-        msg = WspMessage(PDU_CONNECT, session_id=0,
-                         headers=list(capability_headers or []))
-        handle = self._invoke2(encode_message(msg), timeout)
-        reply = decode_message(handle.result)
+        reply = self._round_trip(WspMessage(
+            PDU_CONNECT, headers=list(capability_headers or [])), timeout)
         if reply.pdu_type == PDU_REPLY and reply.status >= 400:
             raise ConnectRefused(f"gateway replied status {reply.status}")
         if reply.pdu_type != PDU_CONNECT_REPLY or reply.session_id == 0:
@@ -378,7 +376,8 @@ def _run_handler(handler, executor, method: str, msg: WspMessage, ctx,
                  send) -> None:
     """Run ``handler`` (on ``executor`` when given) and ``send`` the encoded
     Reply.  A failing handler is logged and answered 500; a Reply too large
-    for one datagram is answered 502, so the client never waits it out."""
+    for one datagram is answered 502, so the client never waits it out.  A
+    send that fails otherwise is logged, since no caller reads the result."""
     def work():
         try:
             reply = _encode_reply(*handler(method, msg.uri, msg.headers,
@@ -387,11 +386,14 @@ def _run_handler(handler, executor, method: str, msg: WspMessage, ctx,
             log.exception("handler failed: %s %s", method, msg.uri)
             reply = _encode_reply(500, TEXT_PLAIN, b"internal handler error")
         try:
-            send(reply)
-        except (wtp.OversizePayload, OversizeDatagram) as exc:
-            log.warning("reply to %s %s too large: %s", method, msg.uri, exc)
-            send(_encode_reply(502, TEXT_PLAIN,
-                               b"reply too large for one datagram"))
+            try:
+                send(reply)
+            except (wtp.OversizePayload, OversizeDatagram) as exc:
+                log.warning("reply to %s %s too large: %s", method, msg.uri, exc)
+                send(_encode_reply(502, TEXT_PLAIN,
+                                   b"reply too large for one datagram"))
+        except Exception:  # e.g. WrongState: the client aborted meanwhile
+            log.exception("sending the reply to %s %s failed", method, msg.uri)
 
     if executor is not None:
         executor.submit(work)
@@ -463,17 +465,21 @@ class WspServer:
             if inv.tclass == 2:
                 self._reply(inv, 400, b"malformed WSP message")
             return
-        if msg.pdu_type == PDU_CONNECT:
+        if msg.pdu_type == PDU_SUSPEND:
+            self._handle_suspend(msg)
+        elif msg.pdu_type == PDU_DISCONNECT:
+            self._handle_disconnect(inv)
+        elif inv.tclass != 2:
+            # every other request is answered, and only class 2 has a Result
+            log.warning("pdu %#04x on class %d from %s ignored",
+                        msg.pdu_type, inv.tclass, inv.src)
+        elif msg.pdu_type == PDU_CONNECT:
             self._handle_connect(inv, msg)
         elif msg.pdu_type in _METHODS:
             self._handle_method(inv, msg)
-        elif msg.pdu_type == PDU_SUSPEND:
-            self._handle_suspend(msg)
         elif msg.pdu_type == PDU_RESUME:
             self._handle_resume(inv, msg)
-        elif msg.pdu_type == PDU_DISCONNECT:
-            self._handle_disconnect(inv)
-        elif inv.tclass == 2:
+        else:
             self._reply(inv, 400, b"unexpected pdu type")
 
     def _reply(self, inv, status, body) -> None:

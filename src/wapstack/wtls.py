@@ -486,9 +486,6 @@ class _ServerPeer(_HandshakeChannel):
         super().__init__(endpoint)
         self.client_hello = b""
         self.server_hello = b""
-        self.server_nonce = b""
-        self.psk = b""
-        self.suite = None
         self.session: SecureSession | None = None
         self.pending: SecureSession | None = None
 
@@ -577,15 +574,13 @@ class WtlsServerTransport:
                 self._endpoint.send(src, encode_record(
                     WtlsRecord(CONTENT_ALERT, 0, bytes([alert]))))
                 return
+            server_nonce = self._nonce()
             peer = _ServerPeer(self._endpoint)
             peer.client_hello = rec.body
-            peer.psk = psk
-            peer.suite = chosen
-            peer.server_nonce = self._nonce()
-            peer.server_hello = build_server_hello(peer.server_nonce, chosen)
+            peer.server_hello = build_server_hello(server_nonce, chosen)
             # keys derivable now, but the session is only installed once the
             # client's Finished proves it holds the psk
-            peer.pending = SecureSession(psk, client_nonce, peer.server_nonce,
+            peer.pending = SecureSession(psk, client_nonce, server_nonce,
                                          chosen, "server")
             self._peers[src] = peer
             peer._send_plain(src, CONTENT_HANDSHAKE, peer.server_hello)

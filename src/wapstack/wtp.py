@@ -24,8 +24,16 @@ fire-and-forget.  When ``uak`` is set the provider never auto-acknowledges:
 the receiving user must call ``Invocation.ack`` (optionally with out-of-band
 bytes, which ride the Ack back to the initiator).
 
-Completed transaction records linger for ``linger_ms`` so duplicate PDUs
-re-trigger retransmissions but never a second user indication.
+Each end keeps one record per transaction: the initiator's is the
+``TransactionHandle`` returned by ``invoke``, the responder's is the
+``Invocation`` passed to ``on_invoke``.  Both ends share one retry path: the
+Invoke or Result is sent, its rid-flagged copy is kept on the record and
+resent every ``retry_interval_ms`` until the record's timer is stopped or
+``max_retrans`` is spent, which aborts the transaction.  A duplicate Invoke
+gets that stored Result again.
+
+Completed records linger for ``linger_ms`` so duplicate PDUs re-trigger
+retransmissions but never a second user indication.
 """
 
 from __future__ import annotations
@@ -50,7 +58,6 @@ NULL = "NULL"
 INVOKE_SENT = "INVOKE_SENT"
 INVOKE_RCVD = "INVOKE_RCVD"
 RESULT_SENT = "RESULT_SENT"
-RESULT_RCVD = "RESULT_RCVD"
 WAIT_USER_ACK = "WAIT_USER_ACK"
 DONE = "DONE"
 ABORTED = "ABORTED"
@@ -213,10 +220,13 @@ class RetransmissionPolicy:
         return self
 
 
-def _cancel(*timers) -> None:
-    for timer in timers:
-        if timer:
-            timer.cancel()
+def _stop(txn) -> None:
+    """Cancel and drop ``txn``'s timer.  The timer's arguments refer back to
+    ``txn``; dropping it lets a finished record be freed without waiting for
+    the cycle collector."""
+    if txn.timer is not None:
+        txn.timer.cancel()
+        txn.timer = None
 
 
 class TraceEvent(NamedTuple):
@@ -229,15 +239,21 @@ class TraceEvent(NamedTuple):
 
 
 class TransactionHandle:
-    """Initiator-side view of one transaction."""
+    """Initiator-side view of one transaction, and the provider's record of
+    it while it runs and lingers."""
 
-    def __init__(self, provider: "WtpProvider", tid: int, tclass: int):
+    def __init__(self, provider: "WtpProvider", tid: int, tclass: int, dst):
         self.tid = tid
         self.tclass = tclass
+        self.dst = dst
         self.state = NULL
         self.result: bytes | None = None
         self.oob: bytes | None = None
         self.error: Exception | None = None
+        self.timer = None        # retry timer
+        self.resend: WtpPdu | None = None  # rid-flagged Invoke to repeat
+        self.retransmits = 0
+        self.cleanup = None      # linger timer
         self._provider = provider
         self._event = threading.Event()
         self._callbacks: list[Callable[["TransactionHandle"], None]] = []
@@ -276,7 +292,8 @@ class TransactionHandle:
 
 
 class Invocation:
-    """Responder-side indication of a received Invoke; delivered once."""
+    """Responder-side indication of a received Invoke, delivered once; also
+    the provider's record of that transaction while it runs and lingers."""
 
     def __init__(self, provider: "WtpProvider", src, tid: int, tclass: int,
                  payload: bytes, uak: bool):
@@ -286,6 +303,13 @@ class Invocation:
         self.tclass = tclass
         self.payload = payload
         self.uak = uak
+        self.state = INVOKE_RCVD
+        self.timer = None        # delayed-Ack timer, then retry timer
+        self.resend: WtpPdu | None = None  # rid-flagged Result to repeat
+        self.retransmits = 0
+        self.acked_standalone = False
+        self.last_oob = b""
+        self.cleanup = None      # linger timer
 
     def respond(self, payload: bytes) -> None:
         self._provider.respond(self.src, self.tid, payload)
@@ -296,40 +320,8 @@ class Invocation:
     def abort(self, reason: int = ABORT_USER) -> None:
         self._provider._abort_responder(self.src, self.tid, reason)
 
-
-class _InitiatorTxn:
-    __slots__ = ("handle", "dst", "payload", "uak", "retransmits", "timer",
-                 "acked", "cleanup")
-
-    def __init__(self, handle, dst, payload, uak):
-        self.handle = handle
-        self.dst = dst
-        self.payload = payload
-        self.uak = uak
-        self.retransmits = 0
-        self.timer = None
-        self.acked = False        # standalone Ack seen (class 2)
-        self.cleanup = None
-
-
-class _ResponderTxn:
-    __slots__ = ("src", "tid", "tclass", "uak", "state", "ack_timer",
-                 "result_payload", "result_timer", "retransmits",
-                 "acked_standalone", "last_oob", "cleanup")
-
-    def __init__(self, src, tid, tclass, uak):
-        self.src = src
-        self.tid = tid
-        self.tclass = tclass
-        self.uak = uak
-        self.state = INVOKE_RCVD
-        self.ack_timer = None
-        self.result_payload = None
-        self.result_timer = None
-        self.retransmits = 0
-        self.acked_standalone = False
-        self.last_oob = b""
-        self.cleanup = None
+    def _complete(self, state: str, error: Exception | None = None) -> None:
+        self.state = state
 
 
 class WtpProvider:
@@ -347,8 +339,8 @@ class WtpProvider:
         self.trace = trace
         self._lock = threading.RLock()
         self._next_tid = 1
-        self._initiator: dict[int, _InitiatorTxn] = {}
-        self._responder: dict[tuple, _ResponderTxn] = {}
+        self._initiator: dict[int, TransactionHandle] = {}
+        self._responder: dict[tuple, Invocation] = {}
         self.on_invoke: Callable[[Invocation], None] | None = None
         self.on_abort = None  # optional: fn(src, tid, reason)
         self.malformed_count = 0
@@ -377,9 +369,42 @@ class WtpProvider:
     def _seconds(self, ms: int) -> float:
         return ms / 1000.0
 
-    def _linger(self, table: dict, key, txn) -> None:
-        """Forget ``table[key]`` after ``linger_ms``; until then duplicates
-        of the finished transaction are still answered."""
+    def _transmit(self, txn, dst, pdu: WtpPdu) -> None:
+        """Send ``pdu``, keep its rid-flagged copy on ``txn`` and resend that
+        every ``retry_interval_ms`` until ``txn``'s timer is stopped or
+        ``max_retrans`` is spent, which aborts ``txn``."""
+        self._send(dst, pdu)
+        pdu.rid = True  # the trace event above has the first-send flag
+        txn.resend = pdu
+        txn.timer = self._clock.call_later(
+            self._seconds(self.policy.retry_interval_ms), self._on_retry,
+            txn, dst)
+
+    def _on_retry(self, txn, dst) -> None:
+        with self._lock:
+            # RealClock runs this outside the lock: the timer may have been
+            # stopped after it fell due
+            if txn.timer is None:
+                return
+            if txn.retransmits >= self.policy.max_retrans:
+                self._finish(txn, ABORTED, TransactionTimeout(
+                    f"tid {txn.tid}: {txn.retransmits} retransmissions exhausted"))
+                return
+            txn.retransmits += 1
+            self._send(dst, txn.resend)
+            txn.timer = self._clock.call_later(
+                self._seconds(self.policy.retry_interval_ms), self._on_retry,
+                txn, dst)
+
+    def _finish(self, txn, state: str, error: Exception | None = None) -> None:
+        """Stop ``txn``'s timer, complete it, and forget it after
+        ``linger_ms``; until then duplicates of it are still answered."""
+        _stop(txn)
+        txn._complete(state, error)
+        if isinstance(txn, TransactionHandle):
+            table, key = self._initiator, txn.tid
+        else:
+            table, key = self._responder, (txn.src, txn.tid)
         txn.cleanup = self._clock.call_later(
             self._seconds(self.policy.linger_ms), table.pop, key, None)
 
@@ -395,51 +420,26 @@ class WtpProvider:
             if self._closed:
                 raise WtpError("provider closed")
             tid = self._alloc_tid()
-            handle = TransactionHandle(self, tid, tclass)
+            handle = TransactionHandle(self, tid, tclass, dst)
             pdu = WtpPdu(PDU_INVOKE, tid, uak=uak, tclass=tclass, payload=payload)
             if tclass == 0:
                 self._send(dst, pdu)
                 handle._complete(DONE)
                 return handle
-            txn = _InitiatorTxn(handle, dst, payload, uak)
-            self._initiator[tid] = txn
+            self._initiator[tid] = handle
             handle.state = INVOKE_SENT
-            self._send(dst, pdu)
-            txn.timer = self._clock.call_later(
-                self._seconds(self.policy.retry_interval_ms),
-                self._on_invoke_timer, tid)
+            self._transmit(handle, dst, pdu)
             return handle
-
-    def _on_invoke_timer(self, tid: int) -> None:
-        with self._lock:
-            txn = self._initiator.get(tid)
-            if txn is None or txn.handle.state != INVOKE_SENT or txn.acked:
-                return
-            if txn.retransmits >= self.policy.max_retrans:
-                txn.handle._complete(
-                    ABORTED, TransactionTimeout(
-                        f"tid {tid}: {txn.retransmits} retransmissions exhausted"))
-                self._linger(self._initiator, tid, txn)
-                return
-            txn.retransmits += 1
-            self._send(txn.dst, WtpPdu(PDU_INVOKE, tid, rid=True, uak=txn.uak,
-                                       tclass=txn.handle.tclass,
-                                       payload=txn.payload))
-            txn.timer = self._clock.call_later(
-                self._seconds(self.policy.retry_interval_ms),
-                self._on_invoke_timer, tid)
 
     def _abort_initiator(self, handle: TransactionHandle, reason: int) -> None:
         with self._lock:
             if handle.done:
                 raise AlreadyCompleted(f"tid {handle.tid} already completed")
-            txn = self._initiator.get(handle.tid)
-            if txn is None:
+            if self._initiator.get(handle.tid) is not handle:
                 raise UnknownTid(f"tid {handle.tid}")
-            _cancel(txn.timer)
-            self._send(txn.dst, WtpPdu(PDU_ABORT, handle.tid, abort_reason=reason))
-            handle._complete(ABORTED, Aborted(reason))
-            self._linger(self._initiator, handle.tid, txn)
+            self._send(handle.dst, WtpPdu(PDU_ABORT, handle.tid,
+                                          abort_reason=reason))
+            self._finish(handle, ABORTED, Aborted(reason))
 
     # --- responder API ------------------------------------------------------
 
@@ -455,29 +455,9 @@ class WtpProvider:
                 raise WrongClass(f"tid {tid} is class {txn.tclass}, result needs class 2")
             if txn.state not in (INVOKE_RCVD, WAIT_USER_ACK):
                 raise WrongState(f"tid {tid} in state {txn.state}")
-            _cancel(txn.ack_timer)
-            txn.result_payload = payload
+            _stop(txn)  # the Result acknowledges the Invoke
             txn.state = RESULT_SENT
-            self._send(src, WtpPdu(PDU_RESULT, tid, payload=payload))
-            txn.result_timer = self._clock.call_later(
-                self._seconds(self.policy.retry_interval_ms),
-                self._on_result_timer, src, tid)
-
-    def _on_result_timer(self, src, tid: int) -> None:
-        with self._lock:
-            txn = self._responder.get((src, tid))
-            if txn is None or txn.state != RESULT_SENT:
-                return
-            if txn.retransmits >= self.policy.max_retrans:
-                txn.state = ABORTED
-                self._linger(self._responder, (src, tid), txn)
-                return
-            txn.retransmits += 1
-            self._send(src, WtpPdu(PDU_RESULT, tid, rid=True,
-                                   payload=txn.result_payload))
-            txn.result_timer = self._clock.call_later(
-                self._seconds(self.policy.retry_interval_ms),
-                self._on_result_timer, src, tid)
+            self._transmit(txn, src, WtpPdu(PDU_RESULT, tid, payload=payload))
 
     def user_ack(self, src, tid: int, oob: bytes = b"") -> None:
         if len(oob) > MAX_OOB:
@@ -494,8 +474,7 @@ class WtpProvider:
             txn.acked_standalone = True
             self._send(src, WtpPdu(PDU_ACK, tid, oob=oob))
             if txn.tclass == 1:
-                txn.state = DONE
-                self._linger(self._responder, (src, tid), txn)
+                self._finish(txn, DONE)
             else:
                 txn.state = INVOKE_RCVD  # awaiting respond()
 
@@ -506,18 +485,16 @@ class WtpProvider:
                 raise UnknownTid(f"tid {tid} from {src}")
             if txn.state in (DONE, ABORTED):
                 raise AlreadyCompleted(f"tid {tid} already completed")
-            _cancel(txn.ack_timer, txn.result_timer)
             self._send(src, WtpPdu(PDU_ABORT, tid, abort_reason=reason))
-            txn.state = ABORTED
-            self._linger(self._responder, (src, tid), txn)
+            self._finish(txn, ABORTED)
 
-    def _on_ack_delay(self, src, tid: int) -> None:
+    def _on_ack_delay(self, txn: Invocation) -> None:
         with self._lock:
-            txn = self._responder.get((src, tid))
-            if txn is None or txn.state != INVOKE_RCVD or txn.acked_standalone:
+            # a Result or an Abort moves the state on; close() stops the timer
+            if txn.state != INVOKE_RCVD or txn.timer is None:
                 return
             txn.acked_standalone = True
-            self._send(src, WtpPdu(PDU_ACK, tid))
+            self._send(txn.src, WtpPdu(PDU_ACK, txn.tid))
 
     # --- datagram dispatch --------------------------------------------------
 
@@ -543,47 +520,38 @@ class WtpProvider:
         if pdu.pdu_type == PDU_INVOKE:
             self._on_invoke_pdu(src, pdu)
             return
-        itxn = self._initiator.get(pdu.tid)
-        if itxn is not None and itxn.dst == src:
-            self._on_initiator_pdu(itxn, pdu)
+        handle = self._initiator.get(pdu.tid)
+        if handle is not None and handle.dst == src:
+            self._on_initiator_pdu(handle, pdu)
             return
-        rtxn = self._responder.get((src, pdu.tid))
-        if rtxn is not None:
-            self._on_responder_pdu(rtxn, pdu)
+        txn = self._responder.get((src, pdu.tid))
+        if txn is not None:
+            self._on_responder_pdu(txn, pdu)
         # else: stale PDU for a forgotten transaction; drop silently
 
-    def _on_initiator_pdu(self, txn: _InitiatorTxn, pdu: WtpPdu) -> None:
-        handle = txn.handle
+    def _on_initiator_pdu(self, handle: TransactionHandle, pdu: WtpPdu) -> None:
         if pdu.pdu_type == PDU_ACK:
             if handle.state != INVOKE_SENT:
                 return
             if pdu.oob:
                 handle.oob = pdu.oob
-            _cancel(txn.timer)
             if handle.tclass == 1:
-                handle._complete(DONE)
-                self._linger(self._initiator, handle.tid, txn)
+                self._finish(handle, DONE)
             else:
-                txn.acked = True
+                _stop(handle)  # now wait for the Result
         elif pdu.pdu_type == PDU_RESULT:
             if handle.tclass != 2:
                 return
             if handle.state == INVOKE_SENT:
-                _cancel(txn.timer)
-                handle.state = RESULT_RCVD
                 handle.result = pdu.payload
-                self._send(txn.dst, WtpPdu(PDU_ACK, handle.tid))
-                handle._complete(DONE)
-                self._linger(self._initiator, handle.tid, txn)
+                self._send(handle.dst, WtpPdu(PDU_ACK, handle.tid))
+                self._finish(handle, DONE)
             elif handle.state == DONE:
                 # duplicate Result: our Ack was lost, repeat it
-                self._send(txn.dst, WtpPdu(PDU_ACK, handle.tid, rid=True))
+                self._send(handle.dst, WtpPdu(PDU_ACK, handle.tid, rid=True))
         elif pdu.pdu_type == PDU_ABORT:
-            if handle.done:
-                return
-            _cancel(txn.timer)
-            handle._complete(ABORTED, Aborted(pdu.abort_reason))
-            self._linger(self._initiator, handle.tid, txn)
+            if not handle.done:
+                self._finish(handle, ABORTED, Aborted(pdu.abort_reason))
 
     def _on_invoke_pdu(self, src, pdu: WtpPdu) -> None:
         key = (src, pdu.tid)
@@ -591,47 +559,38 @@ class WtpProvider:
         if txn is not None:
             self._on_duplicate_invoke(txn)
             return
-        txn = _ResponderTxn(src, pdu.tid, pdu.tclass, pdu.uak)
+        txn = Invocation(self, src, pdu.tid, pdu.tclass, pdu.payload, pdu.uak)
         self._responder[key] = txn
         if pdu.tclass == 0:
-            txn.state = DONE
-            self._linger(self._responder, key, txn)
+            self._finish(txn, DONE)
         elif pdu.uak:
             txn.state = WAIT_USER_ACK
         elif pdu.tclass == 1:
             txn.acked_standalone = True
-            txn.state = DONE
             self._send(src, WtpPdu(PDU_ACK, pdu.tid))
-            self._linger(self._responder, key, txn)
+            self._finish(txn, DONE)
         else:  # class 2, provider-acknowledged
-            txn.ack_timer = self._clock.call_later(
-                self._seconds(self.policy.ack_delay_ms),
-                self._on_ack_delay, src, pdu.tid)
+            txn.timer = self._clock.call_later(
+                self._seconds(self.policy.ack_delay_ms), self._on_ack_delay, txn)
         if self.on_invoke is not None:
-            self.on_invoke(Invocation(self, src, pdu.tid, pdu.tclass,
-                                      pdu.payload, pdu.uak))
+            self.on_invoke(txn)
 
-    def _on_duplicate_invoke(self, txn: _ResponderTxn) -> None:
+    def _on_duplicate_invoke(self, txn: Invocation) -> None:
         # never a second indication; re-trigger whatever answer we last gave
         if txn.state == RESULT_SENT:
-            self._send(txn.src, WtpPdu(PDU_RESULT, txn.tid, rid=True,
-                                       payload=txn.result_payload))
+            self._send(txn.src, txn.resend)
         elif txn.acked_standalone and txn.state in (INVOKE_RCVD, DONE):
             self._send(txn.src, WtpPdu(PDU_ACK, txn.tid, rid=True,
                                        oob=txn.last_oob))
 
-    def _on_responder_pdu(self, txn: _ResponderTxn, pdu: WtpPdu) -> None:
+    def _on_responder_pdu(self, txn: Invocation, pdu: WtpPdu) -> None:
         if pdu.pdu_type == PDU_ACK:
             if txn.state == RESULT_SENT:
-                _cancel(txn.result_timer)
-                txn.state = DONE
-                self._linger(self._responder, (txn.src, txn.tid), txn)
+                self._finish(txn, DONE)
         elif pdu.pdu_type == PDU_ABORT:
             if txn.state in (DONE, ABORTED):
                 return
-            _cancel(txn.ack_timer, txn.result_timer)
-            txn.state = ABORTED
-            self._linger(self._responder, (txn.src, txn.tid), txn)
+            self._finish(txn, ABORTED)
             if self.on_abort is not None:
                 self.on_abort(txn.src, txn.tid, pdu.abort_reason)
         # Invoke handled earlier; Result to a responder is nonsense, drop
@@ -640,14 +599,14 @@ class WtpProvider:
         """Stop every timer; pending handles fail with "provider closed"."""
         with self._lock:
             self._closed = True
-            initiators = list(self._initiator.values())
-            for txn in initiators:
-                _cancel(txn.timer, txn.cleanup)
-            for txn in self._responder.values():
-                _cancel(txn.ack_timer, txn.result_timer, txn.cleanup)
+            handles = list(self._initiator.values())
+            for txn in (*handles, *self._responder.values()):
+                _stop(txn)
+                if txn.cleanup is not None:
+                    txn.cleanup.cancel()
             self._initiator.clear()
             self._responder.clear()
             # after the teardown, so a callback that raises leaves no timer
-            for txn in initiators:
-                if not txn.handle.done:
-                    txn.handle._complete(ABORTED, WtpError("provider closed"))
+            for handle in handles:
+                if not handle.done:
+                    handle._complete(ABORTED, WtpError("provider closed"))

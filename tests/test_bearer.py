@@ -1,5 +1,6 @@
 """Simulated impaired bearer and the UDP adapter."""
 
+import logging
 import time
 from types import SimpleNamespace
 
@@ -164,6 +165,31 @@ def test_udp_loopback_round_trip():
         b.send(got.src, b"pong")
         back = a.recv(timeout=2.0)
         assert back is not None and back.payload == b"pong"
+    finally:
+        a.close()
+        b.close()
+
+
+def test_udp_reader_survives_a_raising_receiver(caplog):
+    a, b = UdpBearer(), UdpBearer()
+    seen = []
+
+    def receiver(dgram):
+        seen.append(dgram.payload)
+        if len(seen) == 1:
+            raise RuntimeError("receiver bug")
+
+    b.set_receiver(receiver)
+    try:
+        a.send(b.local_addr, b"1")
+        a.send(b.local_addr, b"2")
+        deadline = time.monotonic() + 2.0
+        while len(seen) < 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert seen == [b"1", b"2"]
+        logged = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(logged) == 1
+        assert str(logged[0].exc_info[1]) == "receiver bug"
     finally:
         a.close()
         b.close()

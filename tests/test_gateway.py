@@ -6,9 +6,10 @@ import time
 import pytest
 
 from wapstack import gateway as gw, wml, wsp
-from wapstack.bearer import ImpairmentProfile, SimNetwork
+from wapstack.bearer import ImpairmentProfile, SimNetwork, UdpBearer
 from wapstack.useragent import UserAgent
-from wapstack.wdp import WdpAddress
+from wapstack.wdp import WdpAddress, WdpStack
+from wapstack.wtp import WtpProvider
 
 WML_PAGE = '<wml><card id="c1"><p>Hi</p></card></wml>'
 
@@ -258,4 +259,29 @@ def test_secured_gateway_end_to_end(real_clock, tmp_path):
         assert result.document == wml.parse(WML_PAGE)
     finally:
         ua.close()
+        service.close()
+
+
+@pytest.mark.parametrize("request_msg", [
+    wsp.WspMessage(wsp.PDU_CONNECT),
+    wsp.WspMessage(wsp.PDU_RESUME, session_id=7),
+    wsp.WspMessage(wsp.PDU_GET, uri="http://local/p"),
+], ids=["connect", "resume", "get"])
+@pytest.mark.parametrize("tclass", [0, 1])
+def test_request_off_class_2_is_ignored(real_clock, tclass, request_msg):
+    # Only a class-2 Invoke can carry the reply back.  The gateway must drop
+    # the request, keep its UDP reader running and keep no session.
+    service = gw.Gateway(gw.GatewayConfig(), clock=real_clock,
+                         bearer=UdpBearer(), fetch=gw.local_content_fetch({}))
+    bearer = UdpBearer()
+    provider = WtpProvider(WdpStack(bearer).bind_ephemeral(), real_clock)
+    gw_addr = WdpAddress(service.bearer_addr, service.config.listen_port)
+    try:
+        provider.invoke(gw_addr, tclass, wsp.encode_message(request_msg))
+        session = wsp.WspClient(provider, gw_addr).connect(timeout=2.0)
+        assert session.session_id > 0
+        assert service.session_count() == 1
+    finally:
+        provider.close()
+        bearer.close()
         service.close()

@@ -2,6 +2,7 @@
 
 import logging
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -148,6 +149,35 @@ def test_handler_exception_maps_to_500(real_clock, caplog):
     logged = [r for r in caplog.records if r.levelno == logging.ERROR]
     assert len(logged) == 1 and "/kaboom" in logged[0].getMessage()
     assert str(logged[0].exc_info[1]) == "boom"
+
+
+def test_failed_reply_send_is_logged(real_clock, caplog):
+    # The client aborts while the handler still runs, so sending the Reply
+    # raises WrongState on the executor; that must reach the log.
+    def slow(method, uri, headers, body, ctx):
+        time.sleep(0.3)
+        return echo_handler(method, uri, headers, body, ctx)
+
+    executor = ThreadPoolExecutor(max_workers=1)
+    net = SimNetwork(real_clock)
+    srv_provider = wtp.WtpProvider(WdpStack(net.endpoint("gw")).bind(9201),
+                                   real_clock)
+    server = wsp.WspServer(srv_provider, slow, real_clock, executor=executor)
+    cli_provider = wtp.WtpProvider(
+        WdpStack(net.endpoint("cli")).bind_ephemeral(), real_clock)
+    try:
+        wsp.WspClient(cli_provider, GW).connect(timeout=5.0)
+        handle = cli_provider.invoke(GW, 2, wsp.encode_message(
+            wsp.WspMessage(wsp.PDU_GET, uri="/slow")))
+        time.sleep(0.05)
+        handle.abort()
+        executor.shutdown(wait=True)
+        logged = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(logged) == 1 and "GET /slow" in logged[0].getMessage()
+        assert isinstance(logged[0].exc_info[1], wtp.WrongState)
+    finally:
+        executor.shutdown(wait=True)
+        server.close()
 
 
 def test_malformed_wsp_payload_gets_400(real_clock):

@@ -127,6 +127,22 @@ def test_result_retransmits_until_acked():
     assert [e for e in pair.node_events("srv") if e[0] == "snd"] == srv_sends
 
 
+def test_result_retransmits_then_exhausts():
+    policy = wtp.RetransmissionPolicy(max_retrans=2)
+    pair = Pair(srv_policy=policy)
+    pair.responder = lambda inv: inv.respond(b"answer")
+    # the Invoke gets through; every Ack after it is lost
+    pair.cli_bearer.set_delivery_script(
+        lambda dgram, index: [0.01] if index == 0 else [])
+    handle = pair.cli.invoke(SRV, 2, b"q")
+    pair.clock.run_until_idle()
+    assert handle.done and handle.result == b"answer"
+    srv_sends = [e for e in pair.node_events("srv") if e[0] == "snd"]
+    assert srv_sends == [("snd", "Result", False), ("snd", "Result", True),
+                         ("snd", "Result", True)]
+    assert pair.clock.pending() == 0
+
+
 def test_duplicate_invoke_never_reindicated():
     pair = Pair()
     pair.responder = lambda inv: inv.respond(b"once")
