@@ -16,10 +16,18 @@ Binary form:
 
 Both directions are pure functions; ``decode(encode(d)) == d`` as trees and
 ``parse(serialize(d)) == d``.
+
+The parser is a recursive descent over compiled patterns: each run of
+whitespace, a name, character data or an attribute value is matched in one
+step, and only the character that ends a run is looked at on its own (an
+escape, a NUL, a quote, a non-ASCII letter).  Positions are plain string
+offsets; a ``ParseError`` turns its offset into a line (one more than the
+``\n`` before it) and a column (characters since the last ``\n``, plus one).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 VERSION = 0x01
@@ -75,153 +83,127 @@ class Document:
 
 # --- parser -------------------------------------------------------------------
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def startswith(self, s: str) -> bool:
-        return self.text.startswith(s, self.pos)
-
-    def take(self, n: int = 1) -> str:
-        chunk = self.text[self.pos:self.pos + n]
-        if len(chunk) < n:
-            raise self.error("unexpected end of input")
-        for ch in chunk:
-            if ord(ch) > 0x7F:
-                raise self.error(f"non-ASCII character {ch!r}")
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-        return chunk
-
-    def expect(self, s: str) -> None:
-        if not self.startswith(s):
-            raise self.error(f"expected {s!r}")
-        self.take(len(s))
-
-    def skip_ws(self) -> None:
-        while self.peek() in (" ", "\t", "\r", "\n") and self.peek():
-            self.take()
+_WS = re.compile(r"[ \t\r\n]*")
+_NAME = re.compile(r"[A-Za-z0-9_-]*")
+_TEXT = re.compile(r"[^<&\x00]*")     # character data up to "<", "&" or a NUL
+_VALUE = re.compile(r'[^"&]*')        # attribute value up to its end or an escape
+_ENTITY = re.compile(r"&(lt|amp|quot);")
+_BAD_ENTITY = re.compile(r"&([^;]{0,9})")  # a bad escape's name, as reported
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 
-def _read_name(cur: _Cursor) -> str:
-    start = cur.pos
-    while cur.peek().isalnum() or cur.peek() in ("-", "_"):
-        cur.take()
-    if cur.pos == start:
-        raise cur.error("expected a name")
-    return cur.text[start:cur.pos]
+def _error(text: str, pos: int, message: str) -> ParseError:
+    line = text.count("\n", 0, pos) + 1
+    return ParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
-def _read_entity(cur: _Cursor) -> str:
-    cur.expect("&")
-    name = ""
-    while cur.peek() and cur.peek() != ";":
-        name += cur.take()
-        if len(name) > 8:
-            break
-    if cur.peek() != ";" or name not in _ENTITIES:
-        raise cur.error(f"bad escape &{name}")
-    cur.take()
-    return _ENTITIES[name]
+def _check_ascii(text: str, start: int, end: int) -> None:
+    match = _NON_ASCII.search(text, start, end)
+    if match:
+        raise _error(text, match.start(), f"non-ASCII character {match[0]!r}")
 
 
-def _read_text(cur: _Cursor) -> str:
+def _expect(text: str, pos: int, s: str) -> int:
+    if not text.startswith(s, pos):
+        raise _error(text, pos, f"expected {s!r}")
+    return pos + len(s)
+
+
+def _name(text: str, pos: int) -> tuple[str, int]:
+    end = _NAME.match(text, pos).end()
+    if end < len(text) and text[end].isalnum():  # a non-ASCII letter or digit
+        raise _error(text, end, f"non-ASCII character {text[end]!r}")
+    if end == pos:
+        raise _error(text, pos, "expected a name")
+    return text[pos:end], end
+
+
+def _entity(text: str, pos: int) -> tuple[str, int]:
+    match = _ENTITY.match(text, pos)
+    if match:
+        return _ENTITIES[match[1]], match.end()
+    name = _BAD_ENTITY.match(text, pos)[1]
+    end = pos + 1 + len(name)
+    _check_ascii(text, pos + 1, end)
+    raise _error(text, end, f"bad escape &{name}")
+
+
+def _chars(text: str, pos: int, run: re.Pattern) -> tuple[str, int]:
+    """Read runs of ``run`` and the escapes between them; return the
+    unescaped string and the offset of the character that ended it."""
     out = []
-    while not cur.eof() and cur.peek() != "<":
-        if cur.peek() == "&":
-            out.append(_read_entity(cur))
-        else:
-            ch = cur.take()
-            if ch == "\x00":
-                raise cur.error("NUL in text")
-            out.append(ch)
-    return "".join(out)
+    while True:
+        end = run.match(text, pos).end()
+        chunk = text[pos:end]
+        if not chunk.isascii():
+            _check_ascii(text, pos, end)
+        out.append(chunk)
+        if not text.startswith("&", end):
+            return "".join(out), end
+        value, pos = _entity(text, end)
+        out.append(value)
 
 
-def _read_attr_value(cur: _Cursor) -> str:
-    cur.expect('"')
-    out = []
-    while cur.peek() != '"':
-        if cur.eof():
-            raise cur.error("unterminated attribute value")
-        if cur.peek() == "&":
-            out.append(_read_entity(cur))
-        else:
-            out.append(cur.take())
-    cur.take()
-    return "".join(out)
-
-
-def _read_element(cur: _Cursor) -> Element:
-    cur.expect("<")
-    tag = _read_name(cur)
+def _element(text: str, pos: int) -> tuple[Element, int]:
+    """Read the element whose name starts at ``pos``, just after its "<"."""
+    tag, pos = _name(text, pos)
     if tag not in TAG_CODES:
-        raise cur.error(f"unknown tag <{tag}>")
-    attrs: list[tuple[str, str]] = []
+        raise _error(text, pos, f"unknown tag <{tag}>")
+    element = Element(tag)
+    attrs = element.attrs
     while True:
-        before = cur.pos
-        cur.skip_ws()
-        if cur.peek() in (">", "/") or cur.eof():
+        start = _WS.match(text, pos).end()
+        if start == len(text) or text[start] in ">/":
+            pos = start
             break
-        if cur.pos == before:
-            raise cur.error("expected whitespace before attribute")
-        name = _read_name(cur)
+        if start == pos:
+            raise _error(text, pos, "expected whitespace before attribute")
+        name, pos = _name(text, start)
         if name not in ATTR_CODES:
-            raise cur.error(f"unknown attribute {name!r}")
+            raise _error(text, pos, f"unknown attribute {name!r}")
         if any(n == name for n, _ in attrs):
-            raise cur.error(f"duplicate attribute {name!r}")
-        cur.expect("=")
-        attrs.append((name, _read_attr_value(cur)))
-    element = Element(tag, attrs)
-    if cur.startswith("/>"):
-        cur.take(2)
-        return element
-    cur.expect(">")
+            raise _error(text, pos, f"duplicate attribute {name!r}")
+        pos = _expect(text, _expect(text, pos, "="), '"')
+        value, pos = _chars(text, pos, _VALUE)
+        if pos == len(text):
+            raise _error(text, pos, "unterminated attribute value")
+        attrs.append((name, value))
+        pos += 1
+    if text.startswith("/>", pos):
+        return element, pos + 2
+    pos = _expect(text, pos, ">")
+    children = element.children
     while True:
-        if cur.eof():
-            raise cur.error(f"unclosed <{tag}>")
-        if cur.startswith("</"):
-            cur.take(2)
-            closing = _read_name(cur)
+        if pos == len(text):
+            raise _error(text, pos, f"unclosed <{tag}>")
+        if text.startswith("</", pos):
+            closing, pos = _name(text, pos + 2)
             if closing != tag:
-                raise cur.error(f"mismatched tag: <{tag}> closed by </{closing}>")
-            cur.expect(">")
+                raise _error(text, pos,
+                             f"mismatched tag: <{tag}> closed by </{closing}>")
+            pos = _expect(text, pos, ">")
             break
-        if cur.peek() == "<":
-            element.children.append(_read_element(cur))
-        else:
-            text = _read_text(cur)
-            if text.strip():
-                element.children.append(Text(text))
-            # whitespace-only text between elements is dropped
-    if element.tag == "br" and element.children:
-        raise cur.error("<br> must be empty")
-    return element
+        if text[pos] == "<":
+            child, pos = _element(text, pos + 1)
+            children.append(child)
+            continue
+        value, pos = _chars(text, pos, _TEXT)
+        if text.startswith("\x00", pos):
+            raise _error(text, pos + 1, "NUL in text")
+        if value.strip():
+            children.append(Text(value))
+        # whitespace-only text between elements is dropped
+    if tag == "br" and children:
+        raise _error(text, pos, "<br> must be empty")
+    return element, pos
 
 
 def parse(text: str) -> Document:
-    cur = _Cursor(text)
-    cur.skip_ws()
-    root = _read_element(cur)
-    cur.skip_ws()
-    if not cur.eof():
-        raise cur.error("content after the root element")
+    pos = _expect(text, _WS.match(text).end(), "<")
+    root, pos = _element(text, pos)
+    pos = _WS.match(text, pos).end()
+    if pos != len(text):
+        raise _error(text, pos, "content after the root element")
     if root.tag != "wml":
         raise ParseError("root element must be <wml>", 1, 1)
     return Document(root)
@@ -321,7 +303,7 @@ class _BinCursor:
             raise MalformedBinary("unterminated string")
         raw = self.data[self.pos:end]
         self.pos = end + 1
-        if any(b >= 0x80 for b in raw):
+        if not raw.isascii():
             raise MalformedBinary("non-ASCII byte in string")
         return raw.decode("ascii")
 

@@ -133,17 +133,16 @@ def record_mac(mac_key: bytes, seq: int, content_type: int,
 
 
 def keystream(traffic_key: bytes, seq: int, length: int) -> bytes:
-    out = bytearray()
-    block = 0
-    while len(out) < length:
-        out += hmac.new(traffic_key, b"ks" + struct.pack("!II", seq, block),
-                        hashlib.sha256).digest()
-        block += 1
-    return bytes(out[:length])
+    blocks = (length + 31) // 32  # HMAC-SHA256 gives 32 bytes a block
+    return b"".join(
+        hmac.digest(traffic_key, b"ks" + struct.pack("!II", seq, block), "sha256")
+        for block in range(blocks))[:length]
 
 
 def _xor(data: bytes, pad: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(data, pad))
+    """XOR ``data`` with ``pad``, which is as long as ``data``."""
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(pad, "big")).to_bytes(len(data), "big")
 
 
 def finished_mac(mac_key: bytes, transcript: bytes) -> bytes:

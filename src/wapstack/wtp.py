@@ -30,7 +30,8 @@ Each end keeps one record per transaction: the initiator's is the
 Invoke or Result is sent, its rid-flagged copy is kept on the record and
 resent every ``retry_interval_ms`` until the record's timer is stopped or
 ``max_retrans`` is spent, which aborts the transaction.  A duplicate Invoke
-gets that stored Result again.
+gets that stored Result again until the transaction finishes; a finished
+record keeps no PDU.
 
 Completed records linger for ``linger_ms`` so duplicate PDUs re-trigger
 retransmissions but never a second user indication.
@@ -240,7 +241,16 @@ class TraceEvent(NamedTuple):
 
 class TransactionHandle:
     """Initiator-side view of one transaction, and the provider's record of
-    it while it runs and lingers."""
+    it while it runs and lingers.
+
+    The ``threading.Event`` that ``wait`` blocks on is created by the first
+    ``wait`` on a pending handle, under the provider lock, so a handle that
+    is only used through ``add_done_callback`` never builds one.
+    """
+
+    __slots__ = ("tid", "tclass", "dst", "state", "result", "oob", "error",
+                 "timer", "resend", "retransmits", "cleanup", "_provider",
+                 "_event", "_callbacks")
 
     def __init__(self, provider: "WtpProvider", tid: int, tclass: int, dst):
         self.tid = tid
@@ -255,15 +265,18 @@ class TransactionHandle:
         self.retransmits = 0
         self.cleanup = None      # linger timer
         self._provider = provider
-        self._event = threading.Event()
+        self._event: threading.Event | None = None
         self._callbacks: list[Callable[["TransactionHandle"], None]] = []
 
     @property
     def done(self) -> bool:
-        return self._event.is_set()
+        return self.state in (DONE, ABORTED)
 
     def wait(self, timeout: float | None = None) -> "TransactionHandle":
-        if not self._event.wait(timeout):
+        with self._provider._lock:
+            if not self.done and self._event is None:
+                self._event = threading.Event()
+        if not self.done and not self._event.wait(timeout):
             raise TransactionTimeout(f"tid {self.tid} still pending after wait")
         if self.error is not None:
             raise self.error
@@ -283,9 +296,11 @@ class TransactionHandle:
         self._provider._abort_initiator(self, reason)
 
     def _complete(self, state: str, error: Exception | None = None) -> None:
-        self.state = state
+        # under the provider lock; error first, since state makes it done
         self.error = error
-        self._event.set()
+        self.state = state
+        if self._event is not None:
+            self._event.set()
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
             fn(self)
@@ -294,6 +309,10 @@ class TransactionHandle:
 class Invocation:
     """Responder-side indication of a received Invoke, delivered once; also
     the provider's record of that transaction while it runs and lingers."""
+
+    __slots__ = ("_provider", "src", "tid", "tclass", "payload", "uak", "state",
+                 "timer", "resend", "retransmits", "acked_standalone",
+                 "last_oob", "cleanup")
 
     def __init__(self, provider: "WtpProvider", src, tid: int, tclass: int,
                  payload: bytes, uak: bool):
@@ -398,8 +417,11 @@ class WtpProvider:
 
     def _finish(self, txn, state: str, error: Exception | None = None) -> None:
         """Stop ``txn``'s timer, complete it, and forget it after
-        ``linger_ms``; until then duplicates of it are still answered."""
+        ``linger_ms``; until then duplicates of it are still answered.  The
+        stored PDU is dropped: once finished, a duplicate Invoke is answered
+        with an Ack at most, never the Result again."""
         _stop(txn)
+        txn.resend = None
         txn._complete(state, error)
         if isinstance(txn, TransactionHandle):
             table, key = self._initiator, txn.tid

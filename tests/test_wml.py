@@ -117,3 +117,82 @@ def test_unencodable_text_rejected():
     doc = wml.Document(wml.Element("wml", children=[wml.Text("a\x00b")]))
     with pytest.raises(wml.UnencodableText):
         wml.encode(doc)
+
+
+# Message, line and column of each error, as the parser reports them.  Line
+# and column count from 1; a column counts every character since the last
+# "\n", "\r" included.
+@pytest.mark.parametrize("text,message,line,col", [
+    ("<caré>", "non-ASCII character 'é'", 1, 5),
+    ('<wml><card tïtle="x"/></wml>', "non-ASCII character 'ï'", 1, 13),
+    ("<wml><card></cérd></wml>", "non-ASCII character 'é'", 1, 15),
+    ("<wml>café</wml>", "non-ASCII character 'é'", 1, 9),
+    ('<wml title="é"/>', "non-ASCII character 'é'", 1, 13),
+    ('<wml title="a&quoé;"/>', "non-ASCII character 'é'", 1, 18),
+    ("<wml→>", "expected whitespace before attribute", 1, 5),
+    ("<wml>\n<p>a\x00b</p></wml>", "NUL in text", 2, 6),
+    ("<wml>\n\x00</wml>", "NUL in text", 2, 2),
+    ("<wml>&abcdefghijk;</wml>", "bad escape &abcdefghi", 1, 16),
+    ("<wml>&abcdefghi;</wml>", "bad escape &abcdefghi", 1, 16),
+    ("<wml>&amp", "bad escape &amp", 1, 10),
+    ("<wml>&lt</wml>", "bad escape &lt</wml>", 1, 15),
+    ("<wml>\r\n<card>\r\n<bogus/>\r\n</card>\r\n</wml>",
+     "unknown tag <bogus>", 3, 7),
+    ("<wml", "expected '>'", 1, 5),
+    ('<wml><card title="abc', "unterminated attribute value", 1, 22),
+    ('<wml><card title="a\nb', "unterminated attribute value", 2, 2),
+    ('<wml id="a"title="b"/>', "expected whitespace before attribute", 1, 12),
+    ("<wml id></wml>", "expected '='", 1, 8),
+    ("<wml id=nope></wml>", "expected '\"'", 1, 9),
+    ('<wml foo="1"/>', "unknown attribute 'foo'", 1, 9),
+    ('<wml id="a" id="b"/>', "duplicate attribute 'id'", 1, 15),
+    ("<wml><br>x</br></wml>", "<br> must be empty", 1, 16),
+    ("<wml>\n</wml>\n<wml/>", "content after the root element", 3, 1),
+    ("<card/>", "root element must be <wml>", 1, 1),
+    ("<wml>\n  <p>dangling", "unclosed <p>", 2, 14),
+    ("<wml><card>\n</wml>", "mismatched tag: <card> closed by </wml>", 2, 6),
+    ("  ", "expected '<'", 1, 3),
+    ("< wml/>", "expected a name", 1, 2),
+    ("<wml></>", "expected a name", 1, 8),
+    ("<wml/x>", "expected '>'", 1, 5),
+])
+def test_parse_error_message_line_and_column(text, message, line, col):
+    with pytest.raises(wml.ParseError) as exc:
+        wml.parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == f"{message} at line {line}, column {col}"
+
+
+_MUTATIONS = ["<", ">", "&", '"', "/", "=", ";", " ", "\n", "\r\n", "\x00",
+              "é", "&amp;", "&lt", "</p>", "<br/>", ' id="x"', "p"]
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(3)
+        if op == 0:  # insert
+            text = text[:i] + rng.choice(_MUTATIONS) + text[i:]
+        elif op == 1:  # delete
+            text = text[:i] + text[i + 1:]
+        else:  # replace
+            text = text[:i] + rng.choice(_MUTATIONS) + text[i + 1:]
+    return text
+
+
+def test_mutated_documents_parse_or_raise_parse_error():
+    rng = random.Random(41)
+    outcomes = {"parsed": 0, "rejected": 0}
+    for _ in range(2000):
+        text = _mutate(rng, wml.serialize(random_document(rng)))
+        try:
+            doc = wml.parse(text)
+        except wml.ParseError as exc:
+            assert 1 <= exc.line <= text.count("\n") + 1, (text, exc)
+            assert exc.col >= 1, (text, exc)
+            outcomes["rejected"] += 1
+        else:
+            assert wml.parse(wml.serialize(doc)) == doc, text
+            outcomes["parsed"] += 1
+    # both branches are exercised, not one alone
+    assert min(outcomes.values()) >= 200, outcomes

@@ -1,5 +1,6 @@
 """Record security: codec, key schedule, replay window, PSK handshake."""
 
+import hashlib
 import random
 
 import pytest
@@ -55,6 +56,28 @@ def test_keystream_is_deterministic_and_seq_dependent():
     assert wtls.keystream(key, 1, 100) == wtls.keystream(key, 1, 100)
     assert wtls.keystream(key, 1, 100) != wtls.keystream(key, 2, 100)
     assert len(wtls.keystream(key, 1, 7)) == 7
+
+
+# SHA-256 of the sealed record, at seq 1000, for plaintexts on either side of
+# the 32-byte keystream block
+@pytest.mark.parametrize("suite, length, digest", [
+    (wtls.SUITE_STREAM_MAC, 0, "6b2841b7eec0a1974b5bea4c890531ac47f019a21df850655d60169cdde1f1fb"),
+    (wtls.SUITE_STREAM_MAC, 31, "ed5b97ccff1ca0aaf49a09cb8318f02fd884074d692e77457123dde3c25e2694"),
+    (wtls.SUITE_STREAM_MAC, 32, "85eaeda2b1abc4a7431835fe85cdd561152a8df7cbb4d6ee96aa0368c70c90f9"),
+    (wtls.SUITE_STREAM_MAC, 33, "85887420a8f8873bd70bd9dc90664f270881458f3f4610807043a937193ce76a"),
+    (wtls.SUITE_NULL_MAC, 0, "6b2841b7eec0a1974b5bea4c890531ac47f019a21df850655d60169cdde1f1fb"),
+    (wtls.SUITE_NULL_MAC, 31, "c3a8eceb6230013ff51d3a645a1691de372ee388bb47f89b739fb764edf4d0dc"),
+    (wtls.SUITE_NULL_MAC, 32, "d7275aad8bd8749e8a67cb3eb59949ea8552f93ef2e5bf974e4e589f16d17144"),
+    (wtls.SUITE_NULL_MAC, 33, "230184b82d956be4fa5c5cb16d68b01408e4486c4f65f1847059995665e4b73e"),
+])
+def test_sealed_record_known_answer(suite, length, digest):
+    client, server = session_pair(suite)
+    client.send_seq = 1000
+    plaintext = bytes(i * 7 % 256 for i in range(length))
+    record = wtls.encode_record(client.seal(wtls.CONTENT_APPDATA, plaintext))
+    assert len(record) == wtls.HEADER_SIZE + length + wtls.MAC_LEN
+    assert hashlib.sha256(record).hexdigest() == digest
+    assert server.open_bytes(record) == plaintext
 
 
 def test_replay_window_semantics():

@@ -1,5 +1,8 @@
 """Transaction state machines on a virtual clock: deterministic and fast."""
 
+import threading
+import time
+
 import pytest
 
 from wapstack import wtp
@@ -282,3 +285,66 @@ def test_close_completes_pending_handles():
     pair.cli.close()
     handle.add_done_callback(calls.append)
     assert calls == [handle, handle]  # once at close, once when added late
+
+
+def test_wait_wakes_when_another_thread_completes_the_handle():
+    pair = Pair()
+    pair.responder = lambda inv: inv.respond(b"woken")
+    handle = pair.cli.invoke(SRV, 2, b"q")
+    outcome = []
+    waiter = threading.Thread(
+        target=lambda: outcome.append(handle.wait(5.0).result))
+    waiter.start()
+    time.sleep(0.05)  # let the waiter block
+    assert outcome == []
+    pair.clock.advance(0.01)
+    waiter.join(timeout=2.0)
+    assert not waiter.is_alive()
+    assert outcome == [b"woken"]
+
+
+def test_wait_on_a_finished_handle_returns_at_once():
+    pair = Pair()
+    pair.responder = lambda inv: inv.respond(b"early")
+    handle = pair.cli.invoke(SRV, 2, b"q")
+    pair.clock.advance(0.01)
+    assert handle.done
+    started = time.monotonic()
+    assert handle.wait() is handle
+    assert handle.wait(0) is handle
+    assert time.monotonic() - started < 0.5
+    assert handle.result == b"early"
+    fire_and_forget = pair.cli.invoke(SRV, 0, b"n")
+    assert fire_and_forget.wait() is fire_and_forget
+
+
+def test_wait_with_timeout_on_a_pending_handle_raises():
+    pair = Pair(cli_profile=ImpairmentProfile(loss_prob=1.0))
+    handle = pair.cli.invoke(SRV, 2, b"q")
+    started = time.monotonic()
+    with pytest.raises(wtp.TransactionTimeout):
+        handle.wait(timeout=0.05)
+    assert time.monotonic() - started >= 0.04
+    assert not handle.done
+    # the handle still completes, and wait then returns
+    pair.clock.run_until_idle(limit=30.0)
+    with pytest.raises(wtp.TransactionTimeout, match="retransmissions"):
+        handle.wait(0)
+
+
+def test_duplicate_invoke_after_done_gets_ack_not_result():
+    pair = Pair()
+    # slow enough that the responder sends a standalone Ack first
+    pair.responder = lambda inv: pair.clock.call_later(
+        0.25, inv.respond, b"late answer")
+    # the Invoke arrives twice: at once, and again after the transaction ends
+    pair.cli_bearer.set_delivery_script(
+        lambda dgram, index: [0.1, 600] if index == 0 else [0.1])
+    handle = pair.cli.invoke(SRV, 2, b"q")
+    pair.clock.advance(0.5)
+    assert handle.done and handle.result == b"late answer"
+    assert pair.indications[0].state == wtp.DONE
+    pair.clock.run_until_idle(limit=10.0)
+    assert [e for e in pair.node_events("srv") if e[0] == "snd"] == [
+        ("snd", "Ack", False), ("snd", "Result", False), ("snd", "Ack", True)]
+    assert len(pair.indications) == 1
