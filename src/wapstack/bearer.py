@@ -175,15 +175,6 @@ class SimBearer(Inbox):
     def mtu(self) -> int:
         return self._profile.mtu_bytes
 
-    def set_impairments(self, profile: ImpairmentProfile) -> None:
-        """Swap the profile; datagrams already in flight keep the old one."""
-        profile.validate()
-        with self._lock:
-            reseed = profile.seed != self._profile.seed
-            self._profile = profile
-            if reseed:
-                self._rng = random.Random(profile.seed)
-
     def set_delivery_script(self, fn) -> None:
         """Override random impairments with ``fn(dgram, send_index)``.
 

@@ -43,6 +43,14 @@ def wmlc_main(argv=None) -> int:
 _SECURITY_CHOICES = [wtls.MODE_OFF, wtls.MODE_INTEGRITY, wtls.MODE_FULL]
 
 
+# (argparse dest, GatewayConfig key) of each wapgw flag that overrides the file
+_FLAG_KEYS = [("listen", "listen_port"),
+              ("connectionless_port", "connectionless_port"),
+              ("bearer", "bearer"), ("security", "security"),
+              ("psk_file", "psk_file"), ("http_timeout_ms", "http_timeout_ms"),
+              ("session_ttl_s", "session_ttl_s"), ("log_level", "log_level")]
+
+
 def _gateway_config(args) -> GatewayConfig:
     values: dict[str, str] = {}
     if args.config:
@@ -51,24 +59,14 @@ def _gateway_config(args) -> GatewayConfig:
     casts = {"listen_port": int, "connectionless_port": int,
              "http_timeout_ms": int, "session_ttl_s": int}
     for key, value in values.items():
-        if not hasattr(config, key):
+        if key == "impairments" or not hasattr(config, key):  # no text form
             raise ValueError(f"unknown config key {key!r}")
         setattr(config, key, casts.get(key, str)(value))
     # command-line flags override the file
-    if args.listen is not None:
-        config.listen_port = args.listen
-    if args.connectionless_port is not None:
-        config.connectionless_port = args.connectionless_port
-    if args.bearer is not None:
-        config.bearer = args.bearer
-    if args.security is not None:
-        config.security = args.security
-    if args.psk_file is not None:
-        config.psk_file = args.psk_file
-    if args.http_timeout_ms is not None:
-        config.http_timeout_ms = args.http_timeout_ms
-    if args.session_ttl_s is not None:
-        config.session_ttl_s = args.session_ttl_s
+    for dest, key in _FLAG_KEYS:
+        value = getattr(args, dest, None)
+        if value is not None:
+            setattr(config, key, value)
     return config.validate()
 
 
@@ -87,14 +85,15 @@ def wapgw_main(argv=None) -> int:
     parser.add_argument("--http-timeout-ms", type=int, default=None)
     parser.add_argument("--session-ttl-s", type=int, default=None)
     parser.add_argument("--config", default=None, help="key = value file")
-    parser.add_argument("--log-level", default="info")
+    parser.add_argument("--log-level", default=None,
+                        help="debug, info, warning or error (default info)")
     args = parser.parse_args(argv)
 
-    logging.basicConfig(
-        level=getattr(logging, args.log_level.upper(), logging.INFO),
-        format="%(asctime)s %(levelname)s %(message)s")
+    logging.basicConfig(format="%(asctime)s %(levelname)s %(message)s")
     try:
         config = _gateway_config(args)
+        logging.getLogger().setLevel(
+            getattr(logging, config.log_level.upper(), logging.INFO))
         if config.bearer == "sim":
             raise ValueError("the sim bearer is in-process only; "
                              "use --bearer udp from the command line")

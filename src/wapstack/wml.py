@@ -4,6 +4,7 @@ The grammar is closed-world: seven tags (wml, card, p, br, a, do, template),
 three attributes (id, title, href), double-quoted attribute values, and the
 escapes ``&lt; &amp; &quot;`` in text and attribute values.  Text is ASCII;
 whitespace-only text nodes between elements are dropped at parse time.
+Elements nest at most ``MAX_DEPTH`` deep, in text and in binary alike.
 
 Binary form:
 
@@ -43,6 +44,8 @@ _TAG_BY_CODE = {v: k for k, v in TAG_CODES.items()}
 _ATTR_BY_CODE = {v: k for k, v in ATTR_CODES.items()}
 
 _ENTITIES = {"lt": "<", "amp": "&", "quot": '"'}
+
+MAX_DEPTH = 64  # deepest element nesting that parse and decode accept
 
 
 class WmlError(Exception):
@@ -144,8 +147,10 @@ def _chars(text: str, pos: int, run: re.Pattern) -> tuple[str, int]:
         out.append(value)
 
 
-def _element(text: str, pos: int) -> tuple[Element, int]:
+def _element(text: str, pos: int, depth: int = 1) -> tuple[Element, int]:
     """Read the element whose name starts at ``pos``, just after its "<"."""
+    if depth > MAX_DEPTH:
+        raise _error(text, pos - 1, f"elements nested deeper than {MAX_DEPTH}")
     tag, pos = _name(text, pos)
     if tag not in TAG_CODES:
         raise _error(text, pos, f"unknown tag <{tag}>")
@@ -184,7 +189,7 @@ def _element(text: str, pos: int) -> tuple[Element, int]:
             pos = _expect(text, pos, ">")
             break
         if text[pos] == "<":
-            child, pos = _element(text, pos + 1)
+            child, pos = _element(text, pos + 1, depth + 1)
             children.append(child)
             continue
         value, pos = _chars(text, pos, _TEXT)
@@ -308,7 +313,9 @@ class _BinCursor:
         return raw.decode("ascii")
 
 
-def _decode_element(cur: _BinCursor) -> Element:
+def _decode_element(cur: _BinCursor, depth: int = 1) -> Element:
+    if depth > MAX_DEPTH:
+        raise MalformedBinary(f"elements nested deeper than {MAX_DEPTH}")
     token = cur.byte()
     code = token & 0x3F
     tag = _TAG_BY_CODE.get(code)
@@ -336,7 +343,7 @@ def _decode_element(cur: _BinCursor) -> Element:
                 cur.byte()
                 element.children.append(Text(cur.cstring()))
             else:
-                element.children.append(_decode_element(cur))
+                element.children.append(_decode_element(cur, depth + 1))
         if not element.children:
             raise MalformedBinary("HAS_CONTENT set but no children")
     return element

@@ -423,14 +423,12 @@ class WspServer:
     """
 
     def __init__(self, provider: wtp.WtpProvider, handler, clock,
-                 session_ttl_s: float = 300.0, executor=None,
-                 capability_filter=None):
+                 session_ttl_s: float = 300.0, executor=None):
         self._provider = provider
         self._handler = handler
         self._clock = clock
         self._ttl = session_ttl_s
         self._executor = executor
-        self._capability_filter = capability_filter or (lambda headers: headers)
         self._sessions: dict[int, _SessionRecord] = {}
         self._by_peer: dict[WdpAddress, int] = {}
         self._next_sid = itertools.count(1)
@@ -486,13 +484,12 @@ class WspServer:
         inv.respond(_encode_reply(status, [], body))
 
     def _handle_connect(self, inv, msg) -> None:
-        negotiated = self._capability_filter(msg.headers)
         with self._lock:
             sid = next(self._next_sid)
-            rec = _SessionRecord(sid, inv.src, negotiated, self._clock.now())
+            rec = _SessionRecord(sid, inv.src, msg.headers, self._clock.now())
             self._sessions[sid] = rec
             self._by_peer[inv.src] = sid
-        reply = WspMessage(PDU_CONNECT_REPLY, session_id=sid, headers=negotiated)
+        reply = WspMessage(PDU_CONNECT_REPLY, session_id=sid, headers=msg.headers)
         inv.respond(encode_message(reply))
 
     def _handle_suspend(self, msg) -> None:

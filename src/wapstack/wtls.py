@@ -133,10 +133,15 @@ def record_mac(mac_key: bytes, seq: int, content_type: int,
 
 
 def keystream(traffic_key: bytes, seq: int, length: int) -> bytes:
-    blocks = (length + 31) // 32  # HMAC-SHA256 gives 32 bytes a block
-    return b"".join(
-        hmac.digest(traffic_key, b"ks" + struct.pack("!II", seq, block), "sha256")
-        for block in range(blocks))[:length]
+    """Block n is ``HMAC-SHA256(traffic_key, "ks" || seq || n)``; the key
+    and prefix are hashed once and copied for each block's counter."""
+    prefix = hmac.new(traffic_key, b"ks" + struct.pack("!I", seq), hashlib.sha256)
+    out = []
+    for block in range((length + 31) // 32):  # 32 bytes a block
+        mac = prefix.copy()
+        mac.update(struct.pack("!I", block))
+        out.append(mac.digest())
+    return b"".join(out)[:length]
 
 
 def _xor(data: bytes, pad: bytes) -> bytes:
@@ -187,9 +192,6 @@ class SecureSession:
         if role not in ("client", "server"):
             raise ValueError(f"role must be client or server, got {role!r}")
         self.suite = suite
-        self.role = role
-        self.client_nonce = client_nonce
-        self.server_nonce = server_nonce
         c_mac = derive_key(psk, b"c-mac", client_nonce, server_nonce)
         s_mac = derive_key(psk, b"s-mac", client_nonce, server_nonce)
         c_key = derive_key(psk, b"c-key", client_nonce, server_nonce)
@@ -301,217 +303,43 @@ def parse_finished(body: bytes) -> bytes:
     return body[1:]
 
 
-class _HandshakeChannel:
-    """Shared plumbing for sending unMAC'd handshake/alert records."""
+class _Peer:
+    """One peer's handshake state and, once its Finished checks, session."""
 
-    def __init__(self, endpoint):
-        self._endpoint = endpoint
-        self._hs_seq = 0
+    __slots__ = ("hs_seq", "client_hello", "server_hello", "pending", "session")
 
-    def _send_plain(self, dst: WdpAddress, content_type: int, body: bytes) -> None:
-        rec = WtlsRecord(content_type, self._hs_seq, body)
-        self._hs_seq += 1
-        self._endpoint.send(dst, encode_record(rec))
+    def __init__(self, client_hello: bytes = b"", server_hello: bytes = b""):
+        self.hs_seq = 0  # sequence number of the next handshake/alert record
+        self.client_hello = client_hello
+        self.server_hello = server_hello
+        self.pending: SecureSession | None = None  # keys awaiting a Finished
+        self.session: SecureSession | None = None
+
+    @property
+    def transcript(self) -> bytes:
+        return self.client_hello + self.server_hello
 
 
-class WtlsClientTransport(_HandshakeChannel):
-    """Client side: handshake once, then seal/open datagrams to one peer.
+class _RecordTransport:
+    """The transport duck type over one endpoint, for either end.
 
-    Satisfies the transport duck type used by WTP, so the transaction layer
-    runs unmodified above either a bare WDP endpoint or this wrapper.
+    Handshake and alert records go to the subclass's ``_handshake``; every
+    other record must open under its source peer's session, and a record
+    that does not counts in ``drop_count``.  The transaction layer runs
+    unmodified above either a bare WDP endpoint or this wrapper.
     """
 
-    RETRY_INTERVAL = 0.5
-    MAX_RETRIES = 4
-
-    def __init__(self, endpoint, peer: WdpAddress, identity: bytes, psk: bytes,
-                 mode: str, clock, rng=None):
-        super().__init__(endpoint)
-        if mode not in _MODE_SUITES:
-            raise ValueError(f"mode must be {MODE_INTEGRITY!r} or {MODE_FULL!r}")
-        self._peer = peer
-        self._identity = identity
-        self._psk = psk
-        self._suites = [_MODE_SUITES[mode]]
-        self._clock = clock
-        self._rng = rng
-        self._nonce = rng.randbytes(NONCE_LEN) if rng else os.urandom(NONCE_LEN)
-        self._receiver = None
-        self._lock = threading.RLock()
-        self._state = "idle"
-        self._client_hello = b""
-        self._server_hello = b""
-        self._retries = 0
-        self._timer = None
-        self._done = threading.Event()
-        self._error: Exception | None = None
-        self.session: SecureSession | None = None
-        self.drop_count = 0  # records rejected after establishment
-        endpoint.set_receiver(self._on_datagram)
-
-    @property
-    def max_payload(self) -> int:
-        return self._endpoint.max_payload - HEADER_SIZE - MAC_LEN
-
-    @property
-    def established(self) -> bool:
-        return self._state == "established"
-
-    def handshake(self, wait: bool = True, timeout: float = 10.0):
-        with self._lock:
-            if self._state != "idle":
-                raise WtlsError("handshake already started")
-            self._client_hello = build_client_hello(self._identity, self._nonce,
-                                                    self._suites)
-            self._state = "wait_server_hello"
-            self._send_plain(self._peer, CONTENT_HANDSHAKE, self._client_hello)
-            self._timer = self._clock.call_later(self.RETRY_INTERVAL,
-                                                 self._on_retry_timer)
-        if not wait:
-            return self
-        if not self._done.wait(timeout):
-            self._fail(HandshakeTimeout("handshake did not complete"))
-        if self._error is not None:
-            raise self._error
-        return self
-
-    def _on_retry_timer(self) -> None:
-        with self._lock:
-            if self._state not in ("wait_server_hello", "wait_finished"):
-                return
-            if self._retries >= self.MAX_RETRIES:
-                self._fail(HandshakeTimeout(
-                    f"no response after {self._retries} retries"))
-                return
-            self._retries += 1
-            if self._state == "wait_server_hello":
-                self._send_plain(self._peer, CONTENT_HANDSHAKE, self._client_hello)
-            else:
-                self._send_finished()
-            self._timer = self._clock.call_later(self.RETRY_INTERVAL,
-                                                 self._on_retry_timer)
-
-    def _send_finished(self) -> None:
-        transcript = self._client_hello + self._server_hello
-        mac = finished_mac(self.session.send_mac_key, transcript)
-        self._send_plain(self._peer, CONTENT_HANDSHAKE, build_finished(mac))
-
-    def _fail(self, exc: Exception) -> None:
-        with self._lock:
-            if self._state in ("established", "failed"):
-                return
-            self._state = "failed"
-            self._error = exc
-            if self._timer:
-                self._timer.cancel()
-        self._done.set()
-
-    def _on_datagram(self, src: WdpAddress, data: bytes) -> None:
-        with self._lock:
-            if self._state == "established":
-                try:
-                    plaintext = self.session.open_bytes(data)
-                except WtlsError:
-                    self.drop_count += 1
-                    return
-                receiver = self._receiver
-                if receiver is None:
-                    return
-            else:
-                self._handshake_step(data)
-                return
-        receiver(src, plaintext)
-
-    def _handshake_step(self, data: bytes) -> None:
-        try:
-            rec = decode_record(data, with_mac=False)
-        except MalformedRecord:
-            return
-        if rec.content_type == CONTENT_ALERT:
-            code = rec.body[0] if rec.body else 0
-            if code == ALERT_SUITE_MISMATCH:
-                self._fail(SuiteMismatch("server rejected offered suites"))
-            else:
-                self._fail(AuthenticationFailure("server alert during handshake"))
-            return
-        if rec.content_type != CONTENT_HANDSHAKE or not rec.body:
-            return
-        msg_type = rec.body[0]
-        if msg_type == HS_SERVER_HELLO and self._state == "wait_server_hello":
-            server_nonce, suite = parse_server_hello(rec.body)
-            if suite not in self._suites:
-                self._fail(SuiteMismatch(f"server chose unoffered suite {suite:#04x}"))
-                return
-            self._server_hello = rec.body
-            self.session = SecureSession(self._psk, self._nonce, server_nonce,
-                                         suite, "client")
-            self._state = "wait_finished"
-            self._retries = 0
-            self._send_finished()
-        elif msg_type == HS_FINISHED and self._state == "wait_finished":
-            transcript = self._client_hello + self._server_hello
-            expected = finished_mac(self.session.recv_mac_key, transcript)
-            if not hmac.compare_digest(parse_finished(rec.body), expected):
-                self._fail(AuthenticationFailure("server Finished MAC mismatch"))
-                return
-            self._state = "established"
-            if self._timer:
-                self._timer.cancel()
-            self._done.set()
-
-    # transport duck type -------------------------------------------------
-
-    def send(self, dst: WdpAddress, payload: bytes) -> None:
-        with self._lock:
-            if self._state != "established":
-                raise WtlsError("session not established")
-            rec = self.session.seal(CONTENT_APPDATA, payload)
-        self._endpoint.send(dst, encode_record(rec))
-
-    def set_receiver(self, cb) -> None:
-        with self._lock:
-            self._receiver = cb
-
-    def close(self) -> None:
-        with self._lock:
-            if self._timer:
-                self._timer.cancel()
-            self._state = "failed"
-        self._endpoint.close()
-
-
-class _ServerPeer(_HandshakeChannel):
     def __init__(self, endpoint):
-        super().__init__(endpoint)
-        self.client_hello = b""
-        self.server_hello = b""
-        self.session: SecureSession | None = None
-        self.pending: SecureSession | None = None
-
-
-class WtlsServerTransport:
-    """Server side: accepts handshakes from many peers on one endpoint."""
-
-    def __init__(self, endpoint, psk_table: dict[bytes, bytes],
-                 allowed_suites=(SUITE_NULL_MAC, SUITE_STREAM_MAC), rng=None):
         self._endpoint = endpoint
-        self._psk_table = psk_table
-        self._allowed = tuple(allowed_suites)
-        self._rng = rng
-        self._peers: dict[WdpAddress, _ServerPeer] = {}
+        self._peers: dict[WdpAddress, _Peer] = {}
         self._receiver = None
         self._lock = threading.RLock()
         self.drop_count = 0
-        self.handshake_failures = 0
         endpoint.set_receiver(self._on_datagram)
 
     @property
     def max_payload(self) -> int:
         return self._endpoint.max_payload - HEADER_SIZE - MAC_LEN
-
-    def session_count(self) -> int:
-        with self._lock:
-            return sum(1 for p in self._peers.values() if p.session is not None)
 
     def set_receiver(self, cb) -> None:
         with self._lock:
@@ -525,21 +353,14 @@ class WtlsServerTransport:
             rec = peer.session.seal(CONTENT_APPDATA, payload)
         self._endpoint.send(dst, encode_record(rec))
 
-    def _nonce(self) -> bytes:
-        return self._rng.randbytes(NONCE_LEN) if self._rng else os.urandom(NONCE_LEN)
-
     def _on_datagram(self, src: WdpAddress, data: bytes) -> None:
-        if not data:
-            return
-        content_type = data[0]
-        if content_type == CONTENT_HANDSHAKE:
-            with self._lock:
+        with self._lock:
+            if data and data[0] in (CONTENT_HANDSHAKE, CONTENT_ALERT):
                 try:
-                    self._handle_handshake(src, decode_record(data, with_mac=False))
+                    self._handshake(src, decode_record(data, with_mac=False))
                 except MalformedRecord:
                     self.drop_count += 1
-            return
-        with self._lock:
+                return
             peer = self._peers.get(src)
             if peer is None or peer.session is None:
                 self.drop_count += 1
@@ -553,15 +374,164 @@ class WtlsServerTransport:
         if receiver is not None:
             receiver(src, plaintext)
 
-    def _handle_handshake(self, src: WdpAddress, rec: WtlsRecord) -> None:
-        if not rec.body:
-            raise MalformedRecord("empty handshake body")
+    def _send_plain(self, dst: WdpAddress, peer: _Peer, content_type: int,
+                    body: bytes) -> None:
+        rec = WtlsRecord(content_type, peer.hs_seq, body)
+        peer.hs_seq += 1
+        self._endpoint.send(dst, encode_record(rec))
+
+    def _send_finished(self, dst: WdpAddress, peer: _Peer) -> None:
+        keys = peer.session or peer.pending
+        self._send_plain(dst, peer, CONTENT_HANDSHAKE, build_finished(
+            finished_mac(keys.send_mac_key, peer.transcript)))
+
+    def _check_finished(self, peer: _Peer, body: bytes) -> bool:
+        """Install the peer's session if its Finished proves the psk."""
+        keys = peer.pending or peer.session
+        expected = finished_mac(keys.recv_mac_key, peer.transcript)
+        if not hmac.compare_digest(parse_finished(body), expected):
+            return False
+        peer.session, peer.pending = keys, None
+        return True
+
+    def close(self) -> None:
+        with self._lock:
+            self._peers.clear()
+        self._endpoint.close()
+
+
+class WtlsClientTransport(_RecordTransport):
+    """Client side: handshake once, then seal/open datagrams to one peer."""
+
+    RETRY_INTERVAL = 0.5
+    MAX_RETRIES = 4
+
+    def __init__(self, endpoint, peer: WdpAddress, identity: bytes, psk: bytes,
+                 mode: str, clock, rng=None):
+        if mode not in _MODE_SUITES:
+            raise ValueError(f"mode must be {MODE_INTEGRITY!r} or {MODE_FULL!r}")
+        super().__init__(endpoint)
+        self._addr = peer
+        self._peer = self._peers[peer] = _Peer()
+        self._identity = identity
+        self._psk = psk
+        self._suite = _MODE_SUITES[mode]
+        self._clock = clock
+        self._nonce = rng.randbytes(NONCE_LEN) if rng else os.urandom(NONCE_LEN)
+        self._retries = 0
+        self._timer = None
+        self._done = threading.Event()  # set once established or failed
+        self._error: Exception | None = None
+
+    @property
+    def session(self) -> SecureSession | None:
+        peer = self._peers.get(self._addr)  # none once closed
+        return peer.session if peer else None
+
+    @property
+    def established(self) -> bool:
+        return self.session is not None
+
+    def handshake(self, wait: bool = True, timeout: float = 10.0):
+        with self._lock:
+            if self._peer.client_hello or self._done.is_set():
+                raise WtlsError("handshake already started")
+            self._peer.client_hello = build_client_hello(
+                self._identity, self._nonce, [self._suite])
+            self._send_plain(self._addr, self._peer, CONTENT_HANDSHAKE,
+                             self._peer.client_hello)
+            # one timer runs from the hello to the end, across the ServerHello
+            self._timer = self._clock.call_later(self.RETRY_INTERVAL,
+                                                 self._on_retry_timer)
+        if not wait:
+            return self
+        if not self._done.wait(timeout):
+            self._fail(HandshakeTimeout("handshake did not complete"))
+        if self._error is not None:
+            raise self._error
+        return self
+
+    def _on_retry_timer(self) -> None:
+        with self._lock:
+            if self._done.is_set():
+                return
+            if self._retries >= self.MAX_RETRIES:
+                self._fail(HandshakeTimeout(
+                    f"no response after {self._retries} retries"))
+                return
+            self._retries += 1
+            if self._peer.pending is None:
+                self._send_plain(self._addr, self._peer, CONTENT_HANDSHAKE,
+                                 self._peer.client_hello)
+            else:
+                self._send_finished(self._addr, self._peer)
+            self._timer = self._clock.call_later(self.RETRY_INTERVAL,
+                                                 self._on_retry_timer)
+
+    def _fail(self, exc: Exception) -> None:
+        with self._lock:
+            if self._done.is_set():
+                return
+            self._error = exc
+            if self._timer:
+                self._timer.cancel()
+            self._done.set()
+
+    def _handshake(self, src: WdpAddress, rec: WtlsRecord) -> None:
+        peer = self._peer
+        if not peer.client_hello or self._done.is_set():
+            return  # before the hello, or after the handshake ended
+        kind = rec.body[0] if rec.body else 0  # alert code or message type
+        if rec.content_type == CONTENT_ALERT:
+            if kind == ALERT_SUITE_MISMATCH:
+                self._fail(SuiteMismatch("server rejected offered suites"))
+            else:
+                self._fail(AuthenticationFailure("server alert during handshake"))
+        elif kind == HS_SERVER_HELLO and not peer.server_hello:
+            server_nonce, suite = parse_server_hello(rec.body)
+            if suite != self._suite:
+                self._fail(SuiteMismatch(f"server chose unoffered suite {suite:#04x}"))
+                return
+            peer.server_hello = rec.body
+            peer.pending = SecureSession(self._psk, self._nonce, server_nonce,
+                                         suite, "client")
+            self._retries = 0
+            self._send_finished(self._addr, peer)
+        elif kind == HS_FINISHED and peer.pending is not None:
+            if not self._check_finished(peer, rec.body):
+                self._fail(AuthenticationFailure("server Finished MAC mismatch"))
+                return
+            self._timer.cancel()
+            self._done.set()
+
+    def close(self) -> None:
+        self._fail(WtlsError("transport closed"))
+        super().close()
+
+
+class WtlsServerTransport(_RecordTransport):
+    """Server side: accepts handshakes from many peers on one endpoint."""
+
+    def __init__(self, endpoint, psk_table: dict[bytes, bytes],
+                 allowed_suites=(SUITE_NULL_MAC, SUITE_STREAM_MAC)):
+        super().__init__(endpoint)
+        self._psk_table = psk_table
+        self._allowed = tuple(allowed_suites)
+        self.handshake_failures = 0
+
+    def session_count(self) -> int:
+        with self._lock:
+            return sum(1 for p in self._peers.values() if p.session is not None)
+
+    def _handshake(self, src: WdpAddress, rec: WtlsRecord) -> None:
+        if rec.content_type != CONTENT_HANDSHAKE or not rec.body:
+            raise MalformedRecord("not a handshake message")
         msg_type = rec.body[0]
         peer = self._peers.get(src)
         if msg_type == HS_CLIENT_HELLO:
             if peer is not None and peer.client_hello == rec.body:
                 # retransmitted hello: repeat our answer
-                peer._send_plain(src, CONTENT_HANDSHAKE, peer.server_hello)
+                self._send_plain(src, peer, CONTENT_HANDSHAKE, peer.server_hello)
                 return
             identity, client_nonce, suites = parse_client_hello(rec.body)
             psk = self._psk_table.get(identity)
@@ -570,34 +540,21 @@ class WtlsServerTransport:
                 self.handshake_failures += 1
                 alert = ALERT_AUTH_FAILURE if psk is None else ALERT_SUITE_MISMATCH
                 # no peer state is kept, so the alert record is seq 0
-                self._endpoint.send(src, encode_record(
-                    WtlsRecord(CONTENT_ALERT, 0, bytes([alert]))))
+                self._send_plain(src, _Peer(), CONTENT_ALERT, bytes([alert]))
                 return
-            server_nonce = self._nonce()
-            peer = _ServerPeer(self._endpoint)
-            peer.client_hello = rec.body
-            peer.server_hello = build_server_hello(server_nonce, chosen)
+            server_nonce = os.urandom(NONCE_LEN)
+            peer = self._peers[src] = _Peer(
+                rec.body, build_server_hello(server_nonce, chosen))
             # keys derivable now, but the session is only installed once the
             # client's Finished proves it holds the psk
             peer.pending = SecureSession(psk, client_nonce, server_nonce,
                                          chosen, "server")
-            self._peers[src] = peer
-            peer._send_plain(src, CONTENT_HANDSHAKE, peer.server_hello)
+            self._send_plain(src, peer, CONTENT_HANDSHAKE, peer.server_hello)
         elif msg_type == HS_FINISHED and peer is not None:
-            transcript = peer.client_hello + peer.server_hello
-            pending = peer.pending or peer.session
-            if pending is None:
-                return
-            expected = finished_mac(pending.recv_mac_key, transcript)
-            if not hmac.compare_digest(parse_finished(rec.body), expected):
+            if not self._check_finished(peer, rec.body):
                 self.handshake_failures += 1
-                peer._send_plain(src, CONTENT_ALERT, bytes([ALERT_AUTH_FAILURE]))
-                self._peers.pop(src, None)
+                self._send_plain(src, peer, CONTENT_ALERT,
+                                 bytes([ALERT_AUTH_FAILURE]))
+                del self._peers[src]
                 return
-            peer.session = pending
-            peer.pending = None
-            peer._send_plain(src, CONTENT_HANDSHAKE, build_finished(
-                finished_mac(peer.session.send_mac_key, transcript)))
-
-    def close(self) -> None:
-        self._endpoint.close()
+            self._send_finished(src, peer)

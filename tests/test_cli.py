@@ -1,5 +1,6 @@
 """Command-line entry points, exercised in-process."""
 
+import logging
 import socket
 
 import pytest
@@ -96,6 +97,48 @@ def test_wapgw_config_file_overridden_by_flags(tmp_path):
 
     config = cli._gateway_config(Args())
     assert config.listen_port == 9201 and config.connectionless_port == 9333
+
+
+def test_wapgw_log_level_from_file_and_flag(tmp_path):
+    conf = tmp_path / "gw.conf"
+    conf.write_text("log_level = debug\n")
+
+    class Args:
+        config = str(conf)
+        listen = connectionless_port = bearer = security = psk_file = None
+        http_timeout_ms = session_ttl_s = log_level = None
+
+    assert cli._gateway_config(Args()).log_level == "debug"
+    Args.log_level = "warning"
+    assert cli._gateway_config(Args()).log_level == "warning"
+
+
+def test_wapgw_applies_log_level_from_file(tmp_path):
+    conf = tmp_path / "gw.conf"
+    conf.write_text("log_level = debug\nbearer = sim\n")
+    root = logging.getLogger()
+    level = root.level
+    try:
+        # the sim bearer is refused after the config is read and applied
+        assert cli.wapgw_main(["--config", str(conf)]) == 1
+        assert root.level == logging.DEBUG
+        assert cli.wapgw_main(["--config", str(conf),
+                               "--log-level", "error"]) == 1
+        assert root.level == logging.ERROR
+    finally:
+        root.setLevel(level)
+
+
+def test_wapgw_config_file_has_no_impairments_key(tmp_path):
+    # the impairment profile is set from code; the file has no form for it
+    conf = tmp_path / "gw.conf"
+    conf.write_text("impairments = 0.1\n")
+
+    class Args:
+        config = str(conf)
+
+    with pytest.raises(ValueError, match="unknown config key 'impairments'"):
+        cli._gateway_config(Args())
 
 
 # --- wapget -------------------------------------------------------------------

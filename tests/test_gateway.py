@@ -285,3 +285,20 @@ def test_request_off_class_2_is_ignored(real_clock, tclass, request_msg):
         provider.close()
         bearer.close()
         service.close()
+
+
+def test_deeply_nested_deck_gets_502(real_clock):
+    # far past wml.MAX_DEPTH, and deep enough to exhaust Python's recursion
+    # limit in a parser that recursed without a bound
+    deck = "<wml>" + "<p>" * 995 + "x" + "</p>" * 995 + "</wml>"
+    pages = {"/deep": ("text/vnd.wap.wml", deck.encode()),
+             "/p": ("text/vnd.wap.wml", WML_PAGE.encode())}
+    service, ua = make_rig(real_clock, fetch=gw.local_content_fetch(pages))
+    try:
+        reply = ua.fetch("http://local/deep").reply
+        assert reply.status == 502
+        assert b"nested deeper than" in reply.body
+        assert ua.fetch("http://local/p").reply.status == 200
+    finally:
+        ua.close()
+        service.close()

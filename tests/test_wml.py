@@ -196,3 +196,35 @@ def test_mutated_documents_parse_or_raise_parse_error():
             outcomes["parsed"] += 1
     # both branches are exercised, not one alone
     assert min(outcomes.values()) >= 200, outcomes
+
+
+def _nested(depth: int) -> str:
+    """A deck of <wml> and ``depth - 1`` nested <p>, innermost holding text."""
+    return "<wml>" + "<p>" * (depth - 1) + "x" + "</p>" * (depth - 1) + "</wml>"
+
+
+def _nested_binary(depth: int) -> bytes:
+    opening = [wml.TAG_CODES["wml"] | wml.FLAG_HAS_CONTENT]
+    opening += [wml.TAG_CODES["p"] | wml.FLAG_HAS_CONTENT] * (depth - 2)
+    return bytes([wml.VERSION, 0, 0, *opening, wml.TAG_CODES["p"],
+                  *[wml.TOKEN_END] * (depth - 1)])
+
+
+@pytest.mark.parametrize("depth", [wml.MAX_DEPTH + 1, 995, 5000])
+def test_parse_rejects_nesting_past_max_depth(depth):
+    assert wml.parse(_nested(wml.MAX_DEPTH)).root.tag == "wml"
+    with pytest.raises(wml.ParseError) as err:
+        wml.parse(_nested(depth))
+    assert "nested deeper than" in str(err.value)
+    # the error points at the "<" of the first element past the bound
+    assert (err.value.line, err.value.col) == (1, 6 + 3 * (wml.MAX_DEPTH - 1))
+
+
+@pytest.mark.parametrize("depth", [wml.MAX_DEPTH + 1, 995, 5000])
+def test_decode_rejects_nesting_past_max_depth(depth):
+    deepest = wml.decode(_nested_binary(wml.MAX_DEPTH))
+    assert deepest == wml.parse("<wml>" + "<p>" * (wml.MAX_DEPTH - 2)
+                                + "<p/>" + "</p>" * (wml.MAX_DEPTH - 2)
+                                + "</wml>")
+    with pytest.raises(wml.MalformedBinary, match="nested deeper than"):
+        wml.decode(_nested_binary(depth))

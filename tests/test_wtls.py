@@ -1,14 +1,18 @@
 """Record security: codec, key schedule, replay window, PSK handshake."""
 
 import hashlib
+import hmac
 import random
+import struct
+import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from wapstack import wtls
 from wapstack.bearer import SimNetwork
-from wapstack.clock import RealClock
+from wapstack.clock import RealClock, VirtualClock
 from wapstack.wdp import WdpAddress, WdpStack
 
 PSK = bytes(range(32))
@@ -56,6 +60,21 @@ def test_keystream_is_deterministic_and_seq_dependent():
     assert wtls.keystream(key, 1, 100) == wtls.keystream(key, 1, 100)
     assert wtls.keystream(key, 1, 100) != wtls.keystream(key, 2, 100)
     assert len(wtls.keystream(key, 1, 7)) == 7
+
+
+
+def test_keystream_matches_one_hmac_per_block():
+    def reference(traffic_key, seq, length):
+        return b"".join(
+            hmac.digest(traffic_key, b"ks" + struct.pack("!II", seq, block),
+                        "sha256")
+            for block in range((length + 31) // 32))[:length]
+
+    key = bytes(range(32))
+    for seq in (0, 1000, wtls.MAX_SEQ):
+        for length in range(1301):
+            assert wtls.keystream(key, seq, length) == \
+                reference(key, seq, length), (seq, length)
 
 
 # SHA-256 of the sealed record, at seq 1000, for plaintexts on either side of
@@ -287,3 +306,179 @@ def test_tampered_appdata_counts_as_drop(real_clock):
     time.sleep(0.1)
     assert got == []
     assert server.drop_count == 1
+
+
+class _WireEnd:
+    max_payload = 1394
+
+    def __init__(self, wire, addr):
+        self.wire, self.addr, self.deliver = wire, addr, None
+
+    def set_receiver(self, cb):
+        self.deliver = cb
+
+    def send(self, dst, data):
+        self.wire.sent.append((self.addr.host, int.from_bytes(data[1:5], "big"),
+                               data.hex()))
+        self.wire.queue.append((self.addr, dst, data))
+
+    def close(self):
+        pass
+
+
+class _Wire:
+    """Endpoints joined by one queue that the test pumps; every send is kept."""
+
+    def __init__(self):
+        self.sent = []     # (sender host, record seq, record hex) in send order
+        self.queue = []
+        self.nodes = {}
+
+    def endpoint(self, addr):
+        self.nodes[addr] = _WireEnd(self, addr)
+        return self.nodes[addr]
+
+    def pump(self, drop=()):
+        """Deliver until quiet; skip the records whose hex is in ``drop``."""
+        while self.queue:
+            src, dst, data = self.queue.pop(0)
+            if data.hex() not in drop:
+                self.nodes[dst].deliver(src, data)
+
+    def take(self):
+        sent, self.sent = self.sent, []
+        return sent
+
+
+def _record(content_type, seq, body_hex):
+    body = bytes.fromhex(body_hex)
+    return (bytes([content_type]) + seq.to_bytes(4, "big")
+            + len(body).to_bytes(2, "big") + body).hex()
+
+
+# seeds 1 and 2 give the client nonces; both handsets offer the full suite
+_HELLO = {seed: _record(wtls.CONTENT_HANDSHAKE, 0, "0105616c696365" + nonce
+                        + "0101")
+          for seed, nonce in ((1, "f5b165224a58b791df6af1d8303e61cd"),
+                              (2, "73a9bef499bbf4dc7bd2a4f2c8af5bd9"))}
+_SERVER_HELLO = "02" + "53" * 16 + "01"
+_CLIENT_FINISHED = ("03" "2185e5574e76fbcaf945144e5d38e7ad"
+                    "35726c116007b8fe1a8aae4fd81b6c54")
+_SERVER_FINISHED = ("03" "644650603c2898d165e862dc7003faa5"
+                    "7904ac1797155d878b6bcc548dc49d55")
+
+
+def test_handshake_record_bytes(monkeypatch):
+    # the server nonce is os.urandom's; the client's comes from its rng
+    monkeypatch.setattr(wtls.os, "urandom", lambda n: b"S" * n)
+    clock = VirtualClock()
+    wire = _Wire()
+    server_addr = WdpAddress("server", 9201)
+    server = wtls.WtlsServerTransport(wire.endpoint(server_addr),
+                                      {b"alice": PSK})
+
+    def client(host, psk, seed):
+        return wtls.WtlsClientTransport(
+            wire.endpoint(WdpAddress(host, 49152)), server_addr, b"alice",
+            psk, wtls.MODE_FULL, clock, rng=random.Random(seed))
+
+    hs = wtls.CONTENT_HANDSHAKE
+    # a clean handshake: hello, hello, and one Finished each way
+    alice = client("c1", PSK, 1)
+    alice.handshake(wait=False)
+    wire.pump()
+    assert alice.established and server.session_count() == 1
+    assert wire.take() == [
+        ("c1", 0, _HELLO[1]),
+        ("server", 0, _record(hs, 0, _SERVER_HELLO)),
+        ("c1", 1, _record(hs, 1, _CLIENT_FINISHED)),
+        ("server", 1, _record(hs, 1, _SERVER_FINISHED)),
+    ]
+    # a retransmitted ClientHello gets the same ServerHello at the next seq
+    wire.queue.append((WdpAddress("c1", 49152), server_addr,
+                       bytes.fromhex(_HELLO[1])))
+    wire.pump()
+    assert wire.take() == [("server", 2, _record(hs, 2, _SERVER_HELLO))]
+
+    # the server's Finished is lost: the timer that the ClientHello armed
+    # resends the client's Finished 0.5 s after the hello
+    bob = client("c2", PSK, 1)
+    bob.handshake(wait=False)
+    wire.pump(drop={_record(hs, 1, _SERVER_FINISHED)})
+    assert [(host, seq) for host, seq, _ in wire.take()] == [
+        ("c2", 0), ("server", 0), ("c2", 1), ("server", 1)]
+    assert not bob.established
+    clock.advance(0.49)
+    assert wire.sent == []
+    clock.advance(0.01)
+    wire.pump()
+    assert wire.take() == [("c2", 2, _record(hs, 2, _CLIENT_FINISHED)),
+                           ("server", 2, _record(hs, 2, _SERVER_FINISHED))]
+    assert bob.established and server.session_count() == 2
+
+    # a Finished under the wrong psk is answered by an alert at the peer's
+    # next handshake seq, and the peer is forgotten
+    mallory = client("c3", b"not the key", 2)
+    mallory.handshake(wait=False)
+    wire.pump()
+    assert wire.take() == [
+        ("c3", 0, _HELLO[2]),
+        ("server", 0, _record(hs, 0, _SERVER_HELLO)),
+        ("c3", 1, _record(hs, 1, "03" "ae43da1619f246c8632740a9ec88b50b"
+                                 "09c574ccbc216e1ffe9d46c03050b2bc")),
+        ("server", 1, _record(wtls.CONTENT_ALERT, 1, "01")),
+    ]
+    assert not mallory.established
+    assert server.handshake_failures == 1 and server.session_count() == 2
+
+
+def test_client_opens_records_only_from_its_gateway():
+    wire = _Wire()
+    server_addr, client_addr = WdpAddress("server", 9201), WdpAddress("c1", 1)
+    server = wtls.WtlsServerTransport(wire.endpoint(server_addr),
+                                      {b"alice": PSK})
+    client = wtls.WtlsClientTransport(
+        wire.endpoint(client_addr), server_addr, b"alice", PSK,
+        wtls.MODE_FULL, VirtualClock(), rng=random.Random(1))
+    got = []
+    client.set_receiver(lambda src, data: got.append((src, data)))
+    client.handshake(wait=False)
+    wire.pump()
+    hello = bytes.fromhex(wire.take()[0][2])
+    # a record sealed under the session, but from another address, is dropped
+    server.send(client_addr, b"one")
+    server.send(client_addr, b"two")
+    (_, _, forged), (_, _, sent) = wire.queue
+    wire.queue = [(WdpAddress("elsewhere", 9201), client_addr, forged),
+                  (server_addr, client_addr, sent)]
+    wire.pump()
+    assert got == [(server_addr, b"two")] and client.drop_count == 1
+    # once established, a repeated ServerHello is ignored, not counted
+    wire.queue.append((client_addr, server_addr, hello))
+    wire.pump()
+    assert client.established and client.drop_count == 1
+
+
+def test_close_wakes_a_waiting_handshake():
+    wire = _Wire()  # nothing answers the hello
+    client = wtls.WtlsClientTransport(
+        wire.endpoint(WdpAddress("c1", 1)), WdpAddress("server", 9201),
+        b"alice", PSK, wtls.MODE_FULL, VirtualClock(), rng=random.Random(1))
+    raised = []
+
+    def run():
+        try:
+            client.handshake(timeout=5.0)
+        except wtls.WtlsError as exc:
+            raised.append(exc)
+
+    waiter = threading.Thread(target=run)
+    waiter.start()
+    deadline = time.monotonic() + 2.0
+    while not wire.sent and time.monotonic() < deadline:
+        time.sleep(0.01)
+    client.close()
+    waiter.join(timeout=2.0)
+    assert not waiter.is_alive()
+    assert [str(exc) for exc in raised] == ["transport closed"]
+    assert not client.established
