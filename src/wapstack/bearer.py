@@ -254,7 +254,11 @@ class UdpBearer(Inbox):
                  mtu: int = DEFAULT_MTU):
         self._mtu = mtu
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind(bind)
+        try:
+            self._sock.bind(bind)
+        except OSError:
+            self._sock.close()
+            raise
         host, port = self._sock.getsockname()
         self._addr = f"{host}:{port}"
         super().__init__(BearerClosed, self._addr)

@@ -86,14 +86,14 @@ def wapgw_main(argv=None) -> int:
     parser.add_argument("--session-ttl-s", type=int, default=None)
     parser.add_argument("--config", default=None, help="key = value file")
     parser.add_argument("--log-level", default=None,
-                        help="debug, info, warning or error (default info)")
+                        help="debug, info, warning, error or critical "
+                             "(default info)")
     args = parser.parse_args(argv)
 
     logging.basicConfig(format="%(asctime)s %(levelname)s %(message)s")
     try:
         config = _gateway_config(args)
-        logging.getLogger().setLevel(
-            getattr(logging, config.log_level.upper(), logging.INFO))
+        logging.getLogger().setLevel(config.log_level.upper())
         if config.bearer == "sim":
             raise ValueError("the sim bearer is in-process only; "
                              "use --bearer udp from the command line")

@@ -7,6 +7,13 @@ Request path: compact WSP method -> expanded HTTP request (plus a
 ``text/vnd.wap.wml`` response body is parsed and re-encoded as
 ``application/wmlc``; everything else passes through byte-identically.
 
+Compile cache: the WMLC of each WML body is kept in one LRU map keyed on
+the exact source bytes and bounded by ``_WMLC_CACHE_BYTES`` (1 MiB of
+source plus WMLC), so a deck served again is encoded once.  The origin is
+still fetched every time, so a reply is correct by construction.  Decks that
+fail to compile are not kept, and a deck larger than the bound is compiled
+and not stored.
+
 Failure classification: bad or non-http URL -> 400, origin unreachable or
 WML encode failure -> 502, origin timeout -> 504.
 
@@ -19,8 +26,10 @@ from __future__ import annotations
 import http.client
 import logging
 import socket
+import threading
 import time
 import urllib.parse
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -35,6 +44,9 @@ log = logging.getLogger("wapgw")
 VIA_HEADER = ("Via", "wap-gateway/1")
 WML_MIME = "text/vnd.wap.wml"
 WMLC_MIME = "application/wmlc"
+
+# the logging level names; logging.getLevelNamesMapping needs Python 3.11
+_LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 _HOP_BY_HOP = {"connection", "keep-alive", "transfer-encoding",
                "proxy-connection", "upgrade", "te", "trailer"}
@@ -88,6 +100,9 @@ class GatewayConfig:
             raise ValueError("psk_file is required unless security=off")
         if self.http_timeout_ms <= 0 or self.session_ttl_s <= 0:
             raise ValueError("http_timeout_ms and session_ttl_s must be positive")
+        if self.log_level.lower() not in _LOG_LEVELS:
+            raise ValueError(f"log_level must be one of {', '.join(_LOG_LEVELS)}"
+                             f", got {self.log_level!r}")
         return self
 
 
@@ -142,6 +157,50 @@ def fetch_origin(exchange: HttpExchange, timeout_s: float) -> HttpExchange:
     return exchange
 
 
+_WMLC_CACHE_BYTES = 1 << 20  # source plus WMLC bytes kept by _WmlcCache
+
+
+class _WmlcCache:
+    """WML source bytes -> WMLC bytes, least recently used evicted first
+    once the bytes held pass ``_WMLC_CACHE_BYTES``.
+
+    One instance serves every gateway in the process: a key is the whole
+    source, and WMLC is a function of the source alone, so sharing can
+    change what is computed again, never what is served.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[bytes, bytes] = OrderedDict()
+        self._size = 0
+
+    def compile(self, source: bytes) -> bytes:
+        """The WMLC of ``source``; raises ``WmlError`` or
+        ``UnicodeDecodeError`` for a bad deck, which is not kept."""
+        with self._lock:
+            wmlc = self._entries.get(source)
+            if wmlc is not None:
+                self._entries.move_to_end(source)
+                return wmlc
+        # compiled outside the lock; two threads may race on a new deck and
+        # both compile it, which costs time, not correctness
+        wmlc = wml.encode(wml.parse(source.decode("ascii")))
+        cost = len(source) + len(wmlc)
+        if cost > _WMLC_CACHE_BYTES:
+            return wmlc
+        with self._lock:
+            if source not in self._entries:
+                self._entries[source] = wmlc
+                self._size += cost
+                while self._size > _WMLC_CACHE_BYTES:
+                    old_source, old_wmlc = self._entries.popitem(last=False)
+                    self._size -= len(old_source) + len(old_wmlc)
+        return wmlc
+
+
+_wmlc_cache = _WmlcCache()
+
+
 def translate_response(exchange: HttpExchange) -> tuple[int, list[tuple[str, str]], bytes]:
     """Compact the response half; WML bodies become tokenized binary."""
     body = exchange.response_body
@@ -149,7 +208,7 @@ def translate_response(exchange: HttpExchange) -> tuple[int, list[tuple[str, str
     rewrite_wml = wsp.content_type(exchange.response_headers) == WML_MIME
     if rewrite_wml:
         try:
-            body = wml.encode(wml.parse(exchange.response_body.decode("ascii")))
+            body = _wmlc_cache.compile(exchange.response_body)
         except (wml.WmlError, UnicodeDecodeError) as exc:
             raise ContentEncodeFailure(f"{exchange.url}: {exc}") from exc
     for name, value in exchange.response_headers:
@@ -172,17 +231,18 @@ class Gateway:
                  policy: RetransmissionPolicy | None = None):
         config.validate()
         self.config = config
+        if bearer is None and config.bearer == "udp":
+            # before the clock, so a failed bind leaves no clock thread
+            try:
+                bearer = UdpBearer((config.listen_host, config.listen_port))
+            except OSError as exc:
+                raise GatewayError(f"cannot bind UDP bearer: {exc}") from exc
         self._own_clock = clock is None
         self.clock = clock or RealClock()
         self._fetch = fetch or (lambda ex: fetch_origin(
             ex, config.http_timeout_ms / 1000.0))
         if bearer is not None:
             self._bearer = bearer
-        elif config.bearer == "udp":
-            try:
-                self._bearer = UdpBearer((config.listen_host, config.listen_port))
-            except OSError as exc:
-                raise GatewayError(f"cannot bind UDP bearer: {exc}") from exc
         else:
             if network is None:
                 network = SimNetwork(self.clock)

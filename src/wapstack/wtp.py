@@ -34,13 +34,21 @@ gets that stored Result again until the transaction finishes; a finished
 record keeps no PDU.
 
 Completed records linger for ``linger_ms`` so duplicate PDUs re-trigger
-retransmissions but never a second user indication.
+retransmissions but never a second user indication.  Records finish in time
+order and all linger equally long, so each provider keeps one FIFO of
+``(deadline, table, key)`` in finishing order and one clock timer armed for
+its head; when it fires, every record that is due is forgotten and the timer
+is armed for the next.  A finished initiator record is swapped for a slim
+``_Finished`` entry (tid, class, peer, state), which is all a duplicate
+Result needs to be answered with Ack(rid); the user's ``TransactionHandle``,
+and the result it holds, are not kept alive by the provider.
 """
 
 from __future__ import annotations
 
 import struct
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -241,7 +249,7 @@ class TraceEvent(NamedTuple):
 
 class TransactionHandle:
     """Initiator-side view of one transaction, and the provider's record of
-    it while it runs and lingers.
+    it while it runs.
 
     The ``threading.Event`` that ``wait`` blocks on is created by the first
     ``wait`` on a pending handle, under the provider lock, so a handle that
@@ -249,8 +257,8 @@ class TransactionHandle:
     """
 
     __slots__ = ("tid", "tclass", "dst", "state", "result", "oob", "error",
-                 "timer", "resend", "retransmits", "cleanup", "_provider",
-                 "_event", "_callbacks")
+                 "timer", "resend", "retransmits", "_provider", "_event",
+                 "_callbacks", "__weakref__")
 
     def __init__(self, provider: "WtpProvider", tid: int, tclass: int, dst):
         self.tid = tid
@@ -263,7 +271,6 @@ class TransactionHandle:
         self.timer = None        # retry timer
         self.resend: WtpPdu | None = None  # rid-flagged Invoke to repeat
         self.retransmits = 0
-        self.cleanup = None      # linger timer
         self._provider = provider
         self._event: threading.Event | None = None
         self._callbacks: list[Callable[["TransactionHandle"], None]] = []
@@ -306,13 +313,25 @@ class TransactionHandle:
             fn(self)
 
 
+class _Finished:
+    """What a finished initiator record leaves behind while it lingers."""
+
+    __slots__ = ("tid", "tclass", "dst", "state")
+
+    def __init__(self, handle: TransactionHandle):
+        self.tid = handle.tid
+        self.tclass = handle.tclass
+        self.dst = handle.dst
+        self.state = handle.state
+
+
 class Invocation:
     """Responder-side indication of a received Invoke, delivered once; also
     the provider's record of that transaction while it runs and lingers."""
 
     __slots__ = ("_provider", "src", "tid", "tclass", "payload", "uak", "state",
                  "timer", "resend", "retransmits", "acked_standalone",
-                 "last_oob", "cleanup")
+                 "last_oob")
 
     def __init__(self, provider: "WtpProvider", src, tid: int, tclass: int,
                  payload: bytes, uak: bool):
@@ -328,7 +347,6 @@ class Invocation:
         self.retransmits = 0
         self.acked_standalone = False
         self.last_oob = b""
-        self.cleanup = None      # linger timer
 
     def respond(self, payload: bytes) -> None:
         self._provider.respond(self.src, self.tid, payload)
@@ -358,8 +376,10 @@ class WtpProvider:
         self.trace = trace
         self._lock = threading.RLock()
         self._next_tid = 1
-        self._initiator: dict[int, TransactionHandle] = {}
+        self._initiator: dict[int, TransactionHandle | _Finished] = {}
         self._responder: dict[tuple, Invocation] = {}
+        self._lingering: deque[tuple[float, dict, object]] = deque()
+        self._linger_timer = None  # armed for the head of _lingering
         self.on_invoke: Callable[[Invocation], None] | None = None
         self.on_abort = None  # optional: fn(src, tid, reason)
         self.malformed_count = 0
@@ -425,10 +445,27 @@ class WtpProvider:
         txn._complete(state, error)
         if isinstance(txn, TransactionHandle):
             table, key = self._initiator, txn.tid
+            table[key] = _Finished(txn)
         else:
             table, key = self._responder, (txn.src, txn.tid)
-        txn.cleanup = self._clock.call_later(
-            self._seconds(self.policy.linger_ms), table.pop, key, None)
+        linger = self._seconds(self.policy.linger_ms)
+        self._lingering.append((self._clock.now() + linger, table, key))
+        if self._linger_timer is None:
+            self._linger_timer = self._clock.call_later(linger, self._on_linger)
+
+    def _on_linger(self) -> None:
+        """Forget every lingering record that is due, then arm the timer for
+        the next one."""
+        with self._lock:
+            if self._closed:
+                return
+            lingering, now = self._lingering, self._clock.now()
+            while lingering and lingering[0][0] <= now:
+                _, table, key = lingering.popleft()
+                table.pop(key, None)
+            self._linger_timer = (
+                self._clock.call_later(lingering[0][0] - now, self._on_linger)
+                if lingering else None)
 
     # --- initiator API ------------------------------------------------------
 
@@ -551,7 +588,8 @@ class WtpProvider:
             self._on_responder_pdu(txn, pdu)
         # else: stale PDU for a forgotten transaction; drop silently
 
-    def _on_initiator_pdu(self, handle: TransactionHandle, pdu: WtpPdu) -> None:
+    def _on_initiator_pdu(self, handle: TransactionHandle | _Finished,
+                          pdu: WtpPdu) -> None:
         if pdu.pdu_type == PDU_ACK:
             if handle.state != INVOKE_SENT:
                 return
@@ -572,7 +610,7 @@ class WtpProvider:
                 # duplicate Result: our Ack was lost, repeat it
                 self._send(handle.dst, WtpPdu(PDU_ACK, handle.tid, rid=True))
         elif pdu.pdu_type == PDU_ABORT:
-            if not handle.done:
+            if handle.state == INVOKE_SENT:
                 self._finish(handle, ABORTED, Aborted(pdu.abort_reason))
 
     def _on_invoke_pdu(self, src, pdu: WtpPdu) -> None:
@@ -621,14 +659,16 @@ class WtpProvider:
         """Stop every timer; pending handles fail with "provider closed"."""
         with self._lock:
             self._closed = True
-            handles = list(self._initiator.values())
+            handles = [h for h in self._initiator.values()
+                       if isinstance(h, TransactionHandle)]
             for txn in (*handles, *self._responder.values()):
                 _stop(txn)
-                if txn.cleanup is not None:
-                    txn.cleanup.cancel()
+            if self._linger_timer is not None:
+                self._linger_timer.cancel()
+                self._linger_timer = None
+            self._lingering.clear()
             self._initiator.clear()
             self._responder.clear()
             # after the teardown, so a callback that raises leaves no timer
             for handle in handles:
-                if not handle.done:
-                    handle._complete(ABORTED, WtpError("provider closed"))
+                handle._complete(ABORTED, WtpError("provider closed"))

@@ -1,7 +1,10 @@
 """Command-line entry points, exercised in-process."""
 
+import gc
 import logging
 import socket
+import threading
+import warnings
 
 import pytest
 
@@ -69,16 +72,41 @@ def test_wapgw_rejects_sim_bearer_from_cli(capsys):
     assert "in-process only" in capsys.readouterr().err
 
 
+def _clock_threads():
+    return {t for t in threading.enumerate() if t.name == "wapstack-clock"}
+
+
 def test_wapgw_reports_bind_failure(capsys):
     port = free_udp_port()
     holder = UdpBearer(("127.0.0.1", port))
+    clocks = _clock_threads()
     try:
-        assert cli.wapgw_main(["--bearer", "udp", "--listen", str(port),
-                               "--connectionless-port",
-                               str(free_udp_port())]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert cli.wapgw_main(["--bearer", "udp", "--listen", str(port),
+                                   "--connectionless-port",
+                                   str(free_udp_port())]) == 2
+            gc.collect()
         assert "cannot bind" in capsys.readouterr().err
+        # the failed socket is closed, and no clock thread was left behind
+        assert not [w for w in caught if w.category is ResourceWarning]
+        assert _clock_threads() <= clocks
     finally:
         holder.close()
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_wapgw_rejects_unknown_log_level(tmp_path, capsys, source):
+    argv = ["--bearer", "udp", "--listen", str(free_udp_port())]
+    if source == "flag":
+        argv += ["--log-level", "root"]
+    else:
+        conf = tmp_path / "gw.conf"
+        conf.write_text("log_level = root\n")
+        argv += ["--config", str(conf)]
+    assert cli.wapgw_main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "log_level" in err and "'root'" in err
 
 
 def test_wapgw_config_file_overridden_by_flags(tmp_path):

@@ -1,6 +1,8 @@
 """Gateway translation units and end-to-end fetches through the stack."""
 
 import logging
+import sys
+import threading
 import time
 
 import pytest
@@ -95,6 +97,10 @@ def test_config_validation():
         gw.GatewayConfig(security="full").validate()  # psk_file missing
     with pytest.raises(ValueError):
         gw.GatewayConfig(http_timeout_ms=0).validate()
+    with pytest.raises(ValueError, match="log_level"):
+        gw.GatewayConfig(log_level="root").validate()
+    for name in ("DEBUG", "Info", "warning", "ERROR", "critical"):
+        gw.GatewayConfig(log_level=name).validate()
     gw.GatewayConfig().validate()
 
 
@@ -301,4 +307,142 @@ def test_deeply_nested_deck_gets_502(real_clock):
         assert ua.fetch("http://local/p").reply.status == 200
     finally:
         ua.close()
+        service.close()
+
+
+# --- the compile cache ----------------------------------------------------------
+
+DECKS = [f'<wml><card id="c{i}"><p>deck {i}</p><p>{"x" * (8 * i)}</p>'
+         f'<p><a href="/d{(i + 1) % 6}">next</a></p></card></wml>'
+         for i in range(6)]
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """A fresh, empty compile cache; counts the WML sources parsed."""
+    monkeypatch.setattr(gw, "_wmlc_cache", gw._WmlcCache())
+    seen = []
+    parse = wml.parse
+
+    def counting_parse(text):
+        seen.append(text)
+        return parse(text)
+    monkeypatch.setattr(wml, "parse", counting_parse)
+    return seen
+
+
+def wml_exchange(source: bytes, ctype: str = "text/vnd.wap.wml"):
+    return gw.HttpExchange("GET", "http://h/x", [], status=200,
+                           response_headers=[("Content-Type", ctype)],
+                           response_body=source)
+
+
+def test_compile_cache_hit_is_the_fresh_encoding(parses):
+    fresh = wml.encode(wml.parse(WML_PAGE))
+    parses.clear()
+    first = gw.translate_response(wml_exchange(WML_PAGE.encode()))
+    second = gw.translate_response(wml_exchange(WML_PAGE.encode()))
+    assert first == second
+    assert second[2] == fresh
+    assert ("Content-Type", "application/wmlc") in second[1]
+    assert parses == [WML_PAGE]  # the second fetch was not parsed
+
+
+def test_bad_deck_gets_502_every_time_and_is_not_cached(real_clock, parses):
+    pages = {"/bad": ("text/vnd.wap.wml", b"<bogus/>"),
+             "/binary": ("text/vnd.wap.wml", b"<wml>\xff</wml>")}
+    service, ua = make_rig(real_clock, fetch=gw.local_content_fetch(pages))
+    try:
+        for _ in range(2):
+            assert ua.fetch("http://local/bad").reply.status == 502
+            assert ua.fetch("http://local/binary").reply.status == 502
+    finally:
+        ua.close()
+        service.close()
+    # "<bogus/>" is parsed on both fetches; the non-ASCII deck never decodes
+    assert parses == ["<bogus/>", "<bogus/>"]
+    assert not gw._wmlc_cache._entries
+
+
+def test_compile_cache_evicts_least_recently_used(monkeypatch, parses):
+    a, b, c = (deck.encode() for deck in DECKS[:3])
+    cost = {src: len(src) + len(wml.encode(wml.parse(src.decode())))
+            for src in (a, b, c)}
+    parses.clear()
+    # room for the two largest, not for three
+    monkeypatch.setattr(gw, "_WMLC_CACHE_BYTES", cost[b] + cost[c])
+    for src in (a, b, a, c):  # the hit on a leaves b least recently used
+        gw.translate_response(wml_exchange(src))
+    assert list(gw._wmlc_cache._entries) == [a, c]
+    parses.clear()
+    gw.translate_response(wml_exchange(a))
+    assert parses == []
+    gw.translate_response(wml_exchange(b))
+    assert parses == [DECKS[1]]
+
+
+def test_deck_larger_than_the_bound_is_served_not_stored(monkeypatch, parses):
+    fresh = wml.encode(wml.parse(WML_PAGE))
+    parses.clear()
+    monkeypatch.setattr(gw, "_WMLC_CACHE_BYTES", len(WML_PAGE))
+    for _ in range(2):
+        _, _, body = gw.translate_response(wml_exchange(WML_PAGE.encode()))
+        assert body == fresh
+    assert parses == [WML_PAGE, WML_PAGE]
+    assert not gw._wmlc_cache._entries
+
+
+def test_non_wml_bodies_bypass_the_compile_cache(parses):
+    for ctype in ("text/plain", "application/wmlc", "text/html"):
+        _, _, body = gw.translate_response(wml_exchange(WML_PAGE.encode(),
+                                                        ctype))
+        assert body == WML_PAGE.encode()
+    assert parses == []
+    assert not gw._wmlc_cache._entries
+
+
+def test_concurrent_fetches_of_mixed_decks(real_clock, monkeypatch, parses):
+    # room for about two of the six decks, so the eight executor threads
+    # also evict concurrently
+    monkeypatch.setattr(gw, "_WMLC_CACHE_BYTES", 400)
+    pages = {f"/d{i}": ("text/vnd.wap.wml", deck.encode())
+             for i, deck in enumerate(DECKS)}
+    net = SimNetwork(real_clock)
+    service = gw.Gateway(gw.GatewayConfig(), clock=real_clock, network=net,
+                         fetch=gw.local_content_fetch(pages))
+    agents = [UserAgent(WdpAddress("gateway", 9201),
+                        net.endpoint(f"handset{n}"), clock=real_clock)
+              for n in range(8)]
+    failures = []
+
+    def browse(n, ua):
+        try:
+            for k in range(12):
+                i = (n + k * (n + 1)) % len(DECKS)
+                result = ua.fetch(f"http://local/d{i}")
+                if result.document != wml.parse(DECKS[i]):
+                    failures.append((n, i, result.reply.status))
+        except Exception as exc:  # reported below, not lost on the thread
+            failures.append((n, exc))
+
+    threads = [threading.Thread(target=browse, args=(n, ua))
+               for n, ua in enumerate(agents)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches inside the cache
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        # a lost update to the byte count would break this
+        entries = gw._wmlc_cache._entries
+        assert gw._wmlc_cache._size == sum(len(source) + len(wmlc)
+                                           for source, wmlc in entries.items())
+        assert gw._wmlc_cache._size <= gw._WMLC_CACHE_BYTES
+    finally:
+        sys.setswitchinterval(interval)
+        for ua in agents:
+            ua.close()
         service.close()

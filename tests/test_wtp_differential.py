@@ -1,0 +1,177 @@
+"""Seeded differential guard for the WTP state machines.
+
+Each scenario runs two handsets against one responder on a VirtualClock,
+over a simulated bearer with loss (0-30%), duplication, reordering and
+jitter.  Every bearer has some jitter, so no two events share an instant:
+at a shared instant the order of a record being forgotten and a PDU
+arriving follows the order in which their timers were armed, which is the
+clock's tie-break and not a protocol rule.  Handsets mix classes 0/1/2 and user acknowledgement; responders
+answer at once, late, by user Ack or by Abort, or never; some initiators
+abort; one handset may be closed mid-run.  Copies of finished Invokes and
+Results are replayed just before and just after ``linger_ms`` runs out.
+
+The whole run is reduced to one SHA-256: every datagram put on a bearer
+(time, source, destination, bytes), every ``TraceEvent``, every indication
+and every handle outcome.  Any change to what WTP sends, when it sends it,
+or how a transaction ends changes the digest.  A refactor that keeps the
+protocol's behaviour must keep it; a deliberate behaviour change updates
+``EXPECTED`` and says why.
+"""
+
+import hashlib
+import random
+
+from wapstack import wdp, wtp
+from wapstack.bearer import ImpairmentProfile, RawDatagram, SimNetwork
+from wapstack.clock import VirtualClock
+from wapstack.wdp import WdpAddress, WdpStack
+
+SCENARIOS = 90
+EXPECTED = "a50caa1f8bf6f3d385a3b4b2cd82c77ef7c57dc5e39c635decbf46924b41272b"
+
+SRV = WdpAddress("srv", 2000)
+CLIENTS = ("cli0", "cli1")
+
+
+def _pdu_of(payload: bytes) -> wtp.WtpPdu:
+    return wtp.decode_pdu(wdp.decode_datagram(payload).payload)
+
+
+class Scenario:
+    def __init__(self, seed: int):
+        rng = self.rng = random.Random(seed)
+        self.clock = clock = VirtualClock()
+        self.net = SimNetwork(clock)
+        self.log: list[tuple] = []
+        self.sent: list[tuple[float, RawDatagram]] = []
+        policy = wtp.RetransmissionPolicy(
+            retry_interval_ms=rng.choice([100, 300]),
+            max_retrans=rng.choice([3, 8]),
+            linger_ms=rng.choice([400, 3000]))
+        self.linger = policy.linger_ms / 1000.0
+        self.providers = {}
+        for index, name in enumerate(("srv",) + CLIENTS):
+            profile = ImpairmentProfile(
+                loss_prob=rng.choice([0.0, 0.1, 0.2, 0.3]),
+                dup_prob=rng.choice([0.0, 0.1, 0.3]),
+                reorder_prob=rng.choice([0.0, 0.2]),
+                delay_ms=rng.choice([1.0, 20.0, 150.0]),
+                jitter_ms=rng.choice([5.0, 30.0]),
+                seed=seed * 10 + index)
+            bearer = self.net.endpoint(name, profile)
+            bearer.send = self._recording(bearer)
+            endpoint = WdpStack(bearer).bind(2000 if name == "srv" else 1000)
+            self.providers[name] = wtp.WtpProvider(
+                endpoint, clock, policy,
+                trace=lambda e, n=name: self.log.append(
+                    ("trace", n, clock.now()) + tuple(e)))
+        self.providers["srv"].on_invoke = self._on_invoke
+        self.providers["srv"].on_abort = lambda src, tid, reason: self.log.append(
+            ("on_abort", clock.now(), src, tid, reason))
+        self.handles: list[tuple[str, wtp.TransactionHandle]] = []
+
+    def _recording(self, bearer):
+        send = bearer.send
+
+        def recording_send(dst, payload):
+            self.sent.append((self.clock.now(), RawDatagram(bearer.local_addr,
+                                                            dst, payload)))
+            self.log.append(("dgram", self.clock.now(), bearer.local_addr, dst,
+                             payload.hex()))
+            send(dst, payload)
+        return recording_send
+
+    def _call(self, what, fn, *args):
+        """Run a user call whose target may have moved on meanwhile."""
+        try:
+            fn(*args)
+        except wtp.WtpError as exc:
+            self.log.append(("refused", self.clock.now(), what,
+                             type(exc).__name__, str(exc)))
+
+    def _on_invoke(self, inv: wtp.Invocation) -> None:
+        self.log.append(("indication", self.clock.now(), inv.src, inv.tid,
+                         inv.tclass, inv.uak, inv.payload))
+        mode = inv.payload[0] % 6
+        later = self.clock.call_later
+        if inv.uak:
+            later(self.rng.uniform(0.0, 0.4), self._call, "ack", inv.ack,
+                  b"oob" if mode % 2 else b"")
+            if inv.tclass == 2:
+                later(self.rng.uniform(0.4, 0.6), self._call, "respond",
+                      inv.respond, b"after ack")
+        elif inv.tclass != 2:
+            return
+        elif mode in (0, 1, 2):
+            self._call("respond", inv.respond, b"R:" + inv.payload)
+        elif mode == 3:
+            later(self.rng.uniform(0.05, 0.8), self._call, "respond",
+                  inv.respond, b"late:" + inv.payload)
+        elif mode == 4:
+            later(self.rng.uniform(0.0, 0.3), self._call, "abort", inv.abort,
+                  0x44)
+        # mode 5: never answered; the initiator's retries run out
+
+    def _invoke(self, client: str, n: int) -> None:
+        rng = self.rng
+        tclass = rng.choice([0, 1, 2, 2, 2])
+        uak = tclass != 0 and rng.random() < 0.2
+        provider = self.providers[client]
+        try:
+            handle = provider.invoke(SRV, tclass, bytes([n, rng.randrange(256)]),
+                                     uak=uak)
+        except wtp.WtpError as exc:
+            self.log.append(("refused", self.clock.now(), "invoke",
+                             type(exc).__name__, str(exc)))
+            return
+        self.handles.append((client, handle))
+        handle.add_done_callback(
+            lambda h, c=client: self._on_done(c, h))
+        if rng.random() < 0.1:
+            self.clock.call_later(rng.uniform(0.0, 0.5), self._call,
+                                  "initiator abort", handle.abort, 0x33)
+
+    def _on_done(self, client: str, handle: wtp.TransactionHandle) -> None:
+        """Replay this transaction's last Invoke and Result around the end
+        of its linger."""
+        now = self.clock.now()
+        last = {}
+        for _, raw in self.sent:
+            if {raw.src, raw.dst} == {client, "srv"}:
+                pdu = _pdu_of(raw.payload)
+                if pdu.tid == handle.tid and pdu.pdu_type in (wtp.PDU_INVOKE,
+                                                              wtp.PDU_RESULT):
+                    last[pdu.pdu_type] = raw
+        for raw in last.values():
+            for offset in (-0.03, -0.001, 0.001, 0.03):
+                self.clock.call_later(self.linger + offset, self.net._deliver,
+                                      raw)
+        self.log.append(("done", now, client, handle.tid, handle.state))
+
+    def run(self) -> None:
+        rng = self.rng
+        for n in range(14):
+            client = rng.choice(CLIENTS)
+            self.clock.call_later(rng.uniform(0.0, 2.0), self._invoke, client, n)
+        if rng.random() < 0.2:
+            self.clock.call_later(rng.uniform(1.0, 3.0),
+                                  self.providers["cli1"].close)
+        self.clock.run_until_idle(limit=120.0)
+        for client, h in self.handles:
+            self.log.append(("outcome", client, h.tid, h.state, h.result,
+                             h.oob, type(h.error).__name__, str(h.error)))
+        self.log.append(("pending", self.clock.pending()))
+
+
+def run_scenarios(count: int = SCENARIOS) -> str:
+    digest = hashlib.sha256()
+    for seed in range(count):
+        scenario = Scenario(seed)
+        scenario.run()
+        for entry in scenario.log:
+            digest.update(repr(entry).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_wtp_differential_digest_is_pinned():
+    assert run_scenarios() == EXPECTED

@@ -2,6 +2,7 @@
 
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -348,3 +349,86 @@ def test_duplicate_invoke_after_done_gets_ack_not_result():
     assert [e for e in pair.node_events("srv") if e[0] == "snd"] == [
         ("snd", "Ack", False), ("snd", "Result", False), ("snd", "Ack", True)]
     assert len(pair.indications) == 1
+
+
+# --- lingering records ------------------------------------------------------------
+
+def test_finished_handle_is_freed_while_its_tid_lingers():
+    pair = Pair()
+    pair.responder = lambda inv: inv.respond(b"a result to free")
+    handle = pair.cli.invoke(SRV, 2, b"q")
+    pair.clock.advance(0.01)
+    assert handle.done
+    tid, ref = handle.tid, weakref.ref(handle)
+    del handle
+    # past the cancelled retry timer, which still names the handle until
+    # the clock drops it
+    pair.clock.advance(0.5)
+    assert ref() is None
+    assert tid in pair.cli._initiator  # still lingering
+
+
+def test_duplicate_result_after_handle_dropped_gets_ack():
+    pair = Pair()
+    pair.responder = lambda inv: inv.respond(b"answer")
+    # lose the client's first Ack, so the server repeats its Result
+    pair.cli_bearer.set_delivery_script(
+        lambda dgram, index: [] if index == 1 else [0.1])
+    handle = pair.cli.invoke(SRV, 2, b"q")
+    pair.clock.advance(0.01)
+    assert handle.done and handle.result == b"answer"
+    del handle
+    pair.clock.run_until_idle(limit=10.0)
+    assert pair.node_events("cli") == [
+        ("snd", "Invoke", False), ("rcv", "Result", False),
+        ("snd", "Ack", False), ("rcv", "Result", True), ("snd", "Ack", True)]
+    srv_sends = [e for e in pair.node_events("srv") if e[0] == "snd"]
+    assert srv_sends == [("snd", "Result", False), ("snd", "Result", True)]
+
+
+def test_each_record_is_forgotten_linger_ms_after_it_finished():
+    # Class-1 transactions over a link with no delay finish at the instant
+    # they are invoked.  Times are multiples of 1/64 s, so the clock's sums
+    # are exact.
+    linger = 0.5
+    policy = wtp.RetransmissionPolicy(linger_ms=int(linger * 1000))
+    pair = Pair(cli_policy=policy, srv_policy=policy)
+    starts, t = [], 0.0
+    for n in range(20):  # staggered, and spanning several lingers
+        starts.append(t)
+        t += (1 + n % 3) / 16
+    timeline = sorted([(t0, "invoke", n) for n, t0 in enumerate(starts)]
+                      + [(t0 + linger - 1 / 64, "lingers", n)
+                         for n, t0 in enumerate(starts)]
+                      + [(t0 + linger, "forgotten", n)
+                         for n, t0 in enumerate(starts)])
+    tids, finished = {}, {}
+    for when, what, n in timeline:
+        pair.clock.advance(when - pair.clock.now())
+        # one linger timer per provider, however many records linger
+        assert pair.clock.pending() <= 2
+        if what == "invoke":
+            handle = pair.cli.invoke(SRV, 1, bytes([n]))
+            handle.add_done_callback(
+                lambda h: finished.setdefault(h.tid, pair.clock.now()))
+            tids[n] = handle.tid
+            continue
+        tid = tids[n]
+        assert finished[tid] == starts[n]
+        responder_keys = {(src.host, t) for src, t in pair.srv._responder}
+        lingering = what == "lingers"
+        assert (tid in pair.cli._initiator) is lingering
+        assert (("cli", tid) in responder_keys) is lingering
+    assert pair.clock.pending() == 0
+
+
+def test_close_during_linger_leaves_no_timer():
+    pair = Pair()
+    pair.responder = lambda inv: inv.respond(b"R")
+    handles = [pair.cli.invoke(SRV, 2, bytes([i])) for i in range(5)]
+    pair.clock.advance(1.0)
+    assert all(h.done for h in handles)
+    assert pair.clock.pending() > 0  # records still linger
+    pair.cli.close()
+    pair.srv.close()
+    assert pair.clock.pending() == 0
