@@ -97,14 +97,13 @@ def wapgw_main(argv=None) -> int:
         if config.bearer == "sim":
             raise ValueError("the sim bearer is in-process only; "
                              "use --bearer udp from the command line")
-    except (ValueError, OSError) as exc:
-        print(f"wapgw: config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        gateway = Gateway(config)
+        gateway = Gateway(config)  # reads the PSK file before it binds
     except GatewayError as exc:
         print(f"wapgw: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, OSError) as exc:
+        print(f"wapgw: config error: {exc}", file=sys.stderr)
+        return 1
 
     stop = threading.Event()
     for sig in (signal.SIGINT, signal.SIGTERM):

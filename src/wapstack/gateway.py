@@ -90,6 +90,10 @@ class GatewayConfig:
     log_level: str = "info"
 
     def validate(self) -> "GatewayConfig":
+        for name in ("listen_port", "connectionless_port"):
+            port = getattr(self, name)
+            if not 1 <= port <= 65535:
+                raise ValueError(f"{name} must be in 1-65535, got {port}")
         if self.listen_port == self.connectionless_port:
             raise ValueError("listen_port and connectionless_port must differ")
         if self.bearer not in ("sim", "udp"):
@@ -231,6 +235,9 @@ class Gateway:
                  policy: RetransmissionPolicy | None = None):
         config.validate()
         self.config = config
+        # read first, so a bad PSK file leaves no bearer or clock thread
+        psk_table = (wtls.load_psk_file(config.psk_file)
+                     if config.security != wtls.MODE_OFF else None)
         if bearer is None and config.bearer == "udp":
             # before the clock, so a failed bind leaves no clock thread
             try:
@@ -251,7 +258,6 @@ class Gateway:
         self._stack = WdpStack(self._bearer)
         session_ep = self._stack.bind(config.listen_port)
         if config.security != wtls.MODE_OFF:
-            psk_table = wtls.load_psk_file(config.psk_file)
             allowed = ((wtls.SUITE_NULL_MAC,)
                        if config.security == wtls.MODE_INTEGRITY
                        else (wtls.SUITE_NULL_MAC, wtls.SUITE_STREAM_MAC))

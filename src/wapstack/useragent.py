@@ -8,6 +8,7 @@ elements are listed as labeled actions but never executed.
 
 from __future__ import annotations
 
+import logging
 import urllib.parse
 from dataclasses import dataclass
 
@@ -15,6 +16,8 @@ from . import wml, wsp, wtls
 from .clock import RealClock
 from .wdp import WSP_CONNECTIONLESS_PORT, WdpAddress, WdpStack
 from .wtp import RetransmissionPolicy, WtpProvider
+
+log = logging.getLogger(__name__)
 
 
 class UserAgentError(Exception):
@@ -63,57 +66,49 @@ def _attr(el: wml.Element, name: str) -> str:
     return ""
 
 
-class _LineBuilder:
-    def __init__(self):
-        self.lines: list[str] = []
-        self._current: list[str] = []
-
-    def add(self, text: str) -> None:
-        self._current.append(text)
-
-    def flush(self) -> None:
-        line = "".join(self._current).strip()
-        self._current = []
-        if line:
-            self.lines.append(line)
-
-
 def render(doc: wml.Document) -> RenderedDeck:
     card = next((c for c in doc.root.children
                  if isinstance(c, wml.Element) and c.tag == "card"), None)
     if card is None:
         raise EmptyDeck("document has no card")
-    out = _LineBuilder()
+    lines: list[str] = []
+    current: list[str] = []  # text of the line being built
     links: list[tuple[int, str, str]] = []
+
+    def flush() -> None:
+        line = "".join(current).strip()
+        current.clear()
+        if line:
+            lines.append(line)
 
     def visit(node) -> None:
         if isinstance(node, wml.Text):
-            out.add(node.text)
+            current.append(node.text)
             return
         if node.tag == "br":
-            out.flush()
+            flush()
         elif node.tag == "p":
-            out.flush()
+            flush()
             for child in node.children:
                 visit(child)
-            out.flush()
+            flush()
         elif node.tag == "a":
             index = len(links) + 1
             label = _collect_text(node)
             links.append((index, _attr(node, "href"), label))
-            out.add(f"[{index}] {label}")
+            current.append(f"[{index}] {label}")
         elif node.tag in ("do", "template"):
-            out.flush()
+            flush()
             label = _attr(node, "title") or _attr(node, "id") or _collect_text(node)
-            out.lines.append(f"({node.tag}) {label}".strip())
+            lines.append(f"({node.tag}) {label}".strip())
         else:
             for child in node.children:
                 visit(child)
 
     for child in card.children:
         visit(child)
-    out.flush()
-    return RenderedDeck(out.lines, links)
+    flush()
+    return RenderedDeck(lines, links)
 
 
 class UserAgent:
@@ -189,8 +184,9 @@ class UserAgent:
         if self.session is not None and self.session.state == wsp.CONNECTED:
             try:
                 self.session.disconnect()
-            except Exception:
-                pass
+            except Exception:  # closing goes on; the gateway's TTL ends it
+                log.warning("disconnect of session %d failed",
+                            self.session.session_id, exc_info=True)
         self.provider.close()
         self._stack.close()
         if self._own_clock:

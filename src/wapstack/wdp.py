@@ -107,10 +107,6 @@ class WdpStack:
     def bearer(self):
         return self._bearer
 
-    @property
-    def local_host(self) -> str:
-        return self._bearer.local_addr
-
     def bind(self, port: int) -> "WdpEndpoint":
         if not 1 <= port <= 65535:
             raise InvalidPort(f"port {port} out of range [1, 65535]")
@@ -165,10 +161,6 @@ class WdpEndpoint(Inbox):
         super().__init__(EndpointClosed, f"port {port}")
         self._stack = stack
         self.port = port
-
-    @property
-    def local_address(self) -> WdpAddress:
-        return WdpAddress(self._stack.local_host, self.port)
 
     @property
     def max_payload(self) -> int:

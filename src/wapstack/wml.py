@@ -24,6 +24,11 @@ step, and only the character that ends a run is looked at on its own (an
 escape, a NUL, a quote, a non-ASCII letter).  Positions are plain string
 offsets; a ``ParseError`` turns its offset into a line (one more than the
 ``\n`` before it) and a column (characters since the last ``\n``, plus one).
+
+The decoder walks byte offsets in the same way: each reader takes the offset
+of its first byte and returns what it read with the offset after it.  Reading
+past the end raises ``IndexError`` at the index that ran out, and ``decode``
+alone turns that into ``MalformedBinary("truncated token stream")``.
 """
 
 from __future__ import annotations
@@ -285,68 +290,54 @@ def encode(doc: Document) -> bytes:
     return bytes(out)
 
 
-class _BinCursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise MalformedBinary("truncated token stream")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def peek(self) -> int:
-        if self.pos >= len(self.data):
-            raise MalformedBinary("truncated token stream")
-        return self.data[self.pos]
-
-    def cstring(self) -> str:
-        end = self.data.find(b"\x00", self.pos)
-        if end < 0:
-            raise MalformedBinary("unterminated string")
-        raw = self.data[self.pos:end]
-        self.pos = end + 1
-        if not raw.isascii():
-            raise MalformedBinary("non-ASCII byte in string")
-        return raw.decode("ascii")
+def _cstring(data: bytes, pos: int) -> tuple[str, int]:
+    """Read the NUL-terminated string at ``pos``, just after its STR_I."""
+    end = data.find(b"\x00", pos)
+    if end < 0:
+        raise MalformedBinary("unterminated string")
+    raw = data[pos:end]
+    if not raw.isascii():
+        raise MalformedBinary("non-ASCII byte in string")
+    return raw.decode("ascii"), end + 1
 
 
-def _decode_element(cur: _BinCursor, depth: int = 1) -> Element:
+def _decode_element(data: bytes, pos: int,
+                    depth: int = 1) -> tuple[Element, int]:
+    """Read the element whose token is at ``pos``; indexing past the end
+    raises ``IndexError``, which ``decode`` reports as truncation."""
     if depth > MAX_DEPTH:
         raise MalformedBinary(f"elements nested deeper than {MAX_DEPTH}")
-    token = cur.byte()
-    code = token & 0x3F
-    tag = _TAG_BY_CODE.get(code)
+    token = data[pos]
+    tag = _TAG_BY_CODE.get(token & 0x3F)
     if tag is None:
         raise MalformedBinary(f"unknown tag token {token:#04x}")
     element = Element(tag)
+    pos += 1
     if token & FLAG_HAS_ATTRS:
-        while True:
-            b = cur.byte()
-            if b == TOKEN_END:
-                break
-            name = _ATTR_BY_CODE.get(b)
+        attrs = element.attrs
+        while data[pos] != TOKEN_END:
+            name = _ATTR_BY_CODE.get(data[pos])
             if name is None:
-                raise MalformedBinary(f"unknown attribute token {b:#04x}")
-            if cur.byte() != TOKEN_STR_I:
+                raise MalformedBinary(
+                    f"unknown attribute token {data[pos]:#04x}")
+            if data[pos + 1] != TOKEN_STR_I:
                 raise MalformedBinary("attribute value must be STR_I")
-            element.attrs.append((name, cur.cstring()))
+            value, pos = _cstring(data, pos + 2)
+            attrs.append((name, value))
+        pos += 1
     if token & FLAG_HAS_CONTENT:
-        while True:
-            b = cur.peek()
-            if b == TOKEN_END:
-                cur.byte()
-                break
-            if b == TOKEN_STR_I:
-                cur.byte()
-                element.children.append(Text(cur.cstring()))
+        children = element.children
+        while data[pos] != TOKEN_END:
+            if data[pos] == TOKEN_STR_I:
+                text, pos = _cstring(data, pos + 1)
+                children.append(Text(text))
             else:
-                element.children.append(_decode_element(cur, depth + 1))
-        if not element.children:
+                child, pos = _decode_element(data, pos, depth + 1)
+                children.append(child)
+        if not children:
             raise MalformedBinary("HAS_CONTENT set but no children")
-    return element
+        pos += 1
+    return element, pos
 
 
 def decode(data: bytes) -> Document:
@@ -357,10 +348,11 @@ def decode(data: bytes) -> Document:
     strtbl_len = int.from_bytes(data[1:3], "big")
     if strtbl_len != 0:
         raise MalformedBinary("v1 string table must be empty")
-    cur = _BinCursor(data)
-    cur.pos = 3
-    root = _decode_element(cur)
-    if cur.pos != len(data):
+    try:
+        root, pos = _decode_element(data, 3)
+    except IndexError:
+        raise MalformedBinary("truncated token stream") from None
+    if pos != len(data):
         raise MalformedBinary("trailing bytes after the document")
     if root.tag != "wml":
         raise MalformedBinary("root element must be wml")

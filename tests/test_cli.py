@@ -72,14 +72,15 @@ def test_wapgw_rejects_sim_bearer_from_cli(capsys):
     assert "in-process only" in capsys.readouterr().err
 
 
-def _clock_threads():
-    return {t for t in threading.enumerate() if t.name == "wapstack-clock"}
+def _stack_threads():
+    return {t for t in threading.enumerate()
+            if t.name == "wapstack-clock" or t.name.startswith("udp-bearer-")}
 
 
 def test_wapgw_reports_bind_failure(capsys):
     port = free_udp_port()
     holder = UdpBearer(("127.0.0.1", port))
-    clocks = _clock_threads()
+    threads = _stack_threads()
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
@@ -88,11 +89,34 @@ def test_wapgw_reports_bind_failure(capsys):
                                    str(free_udp_port())]) == 2
             gc.collect()
         assert "cannot bind" in capsys.readouterr().err
-        # the failed socket is closed, and no clock thread was left behind
+        # the failed socket is closed, and no stack thread was left behind
         assert not [w for w in caught if w.category is ResourceWarning]
-        assert _clock_threads() <= clocks
+        assert _stack_threads() <= threads
     finally:
         holder.close()
+
+
+@pytest.mark.parametrize("flags,psk_text,message", [
+    (["--security", "full", "--psk-file", "{psk}"], None, "No such file"),
+    (["--security", "full", "--psk-file", "{psk}"], "alice:zz\n",
+     "bad hex secret"),
+    (["--connectionless-port", "0"], None,
+     "connectionless_port must be in 1-65535, got 0"),
+    (["--listen", "70000"], None, "listen_port must be in 1-65535, got 70000"),
+], ids=["missing-psk-file", "malformed-psk-file", "connectionless-port-0",
+        "listen-70000"])
+def test_wapgw_config_error_exits_1_and_leaves_no_thread(
+        tmp_path, capsys, flags, psk_text, message):
+    psk = tmp_path / "psk.txt"
+    if psk_text is not None:
+        psk.write_text(psk_text)
+    argv = ["--bearer", "udp", "--listen", str(free_udp_port())]
+    argv += [flag.format(psk=psk) for flag in flags]  # a later --listen wins
+    threads = _stack_threads()
+    assert cli.wapgw_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wapgw: config error: ") and message in err, err
+    assert _stack_threads() <= threads
 
 
 @pytest.mark.parametrize("source", ["flag", "file"])

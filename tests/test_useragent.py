@@ -1,5 +1,7 @@
 """Deck rendering rules and browsing behavior of the user agent."""
 
+import logging
+
 import pytest
 
 from wapstack import gateway as gw, wml, wsp
@@ -35,6 +37,16 @@ def test_render_do_and_template_become_action_lines():
     deck = rendered('<wml><card><p>x</p><do title="Reload"/>'
                     "<template>fallback</template></card></wml>")
     assert deck.lines == ["x", "(do) Reload", "(template) fallback"]
+
+
+def test_render_id_labels_nested_link_labels_and_card_level_text():
+    deck = rendered('<wml><card>see <a href="/x">the <p>big</p> one</a> now'
+                    '<do id="back"/><template id="t">text</template>'
+                    "</card></wml>")
+    # an action without a title is labelled by its id before its text; a
+    # link's label is all the text under it; card-level text joins the line
+    assert deck.lines == ["see [1] the big one now", "(do) back", "(template) t"]
+    assert deck.links == [(1, "/x", "the big one")]
 
 
 def test_render_requires_a_card():
@@ -110,6 +122,23 @@ def test_suspend_and_resume_keep_browsing(real_clock):
         ua.resume()
         assert ua.session.session_id == sid
         assert ua.fetch("http://site/next").reply.status == 200
+    finally:
+        ua.close()
+        service.close()
+
+
+def test_close_logs_a_failed_disconnect(real_clock, caplog):
+    service, ua = make_ua(real_clock)
+    try:
+        ua.fetch("http://site/index")
+        sid = ua.session.session_id
+        ua.provider.close()  # the Disconnect can no longer be sent
+        with caplog.at_level(logging.WARNING, logger="wapstack.useragent"):
+            ua.close()
+        [record] = [r for r in caplog.records
+                    if r.name == "wapstack.useragent"]
+        assert record.getMessage() == f"disconnect of session {sid} failed"
+        assert "provider closed" in str(record.exc_info[1])
     finally:
         ua.close()
         service.close()

@@ -1,6 +1,7 @@
 """WML parser, canonical serializer and tokenized binary codec."""
 
 import random
+import re
 
 import pytest
 
@@ -92,22 +93,64 @@ def test_binary_is_smaller_than_canonical_text():
         assert len(wml.encode(doc)) < len(wml.serialize(doc).encode("ascii"))
 
 
-@pytest.mark.parametrize("data", [
-    b"",
-    bytes.fromhex("02000005"),        # unsupported version
-    bytes.fromhex("01000105"),        # non-empty string table
-    bytes.fromhex("01000004"),        # unknown tag token
-    bytes.fromhex("010000c5"),        # truncated: flags promise more
-    bytes.fromhex("0100004501"),      # HAS_CONTENT but immediate END
-    bytes.fromhex("0100000505"),      # trailing bytes after the document
-    bytes.fromhex("01000006"),        # root is not wml
-    bytes.fromhex("010000850403616200"),  # unknown attribute token
-    bytes.fromhex("0100008505616200"),    # attr value missing STR_I
-    bytes.fromhex("010000450361"),        # unterminated string
-])
+# each malformed input, with the message decode must reject it with
+_MALFORMED_BINARY = {
+    b"": "shorter than header plus one token",
+    bytes.fromhex("02000005"): "unsupported version 0x02",
+    bytes.fromhex("01000105"): "v1 string table must be empty",
+    bytes.fromhex("01000004"): "unknown tag token 0x04",
+    # flags promise more
+    bytes.fromhex("010000c5"): "truncated token stream",
+    bytes.fromhex("0100004501"): "HAS_CONTENT set but no children",
+    bytes.fromhex("0100000505"): "trailing bytes after the document",
+    bytes.fromhex("01000006"): "root element must be wml",
+    bytes.fromhex("010000850403616200"): "unknown attribute token 0x04",
+    bytes.fromhex("0100008505616200"): "attribute value must be STR_I",
+    bytes.fromhex("010000450361"): "unterminated string",
+    # truncated inside an attribute list: no END after the last value
+    bytes.fromhex("010000850503616200"): "truncated token stream",
+    # truncated after an attribute code, before its STR_I
+    bytes.fromhex("0100008505"): "truncated token stream",
+    # truncated inside content: no END after the last child
+    bytes.fromhex("01000045036100"): "truncated token stream",
+    bytes.fromhex("0100004503e90001"): "non-ASCII byte in string",
+}
+
+
+@pytest.mark.parametrize("data", list(_MALFORMED_BINARY))
 def test_malformed_binary_rejected(data):
-    with pytest.raises(wml.MalformedBinary):
+    message = _MALFORMED_BINARY[data]
+    with pytest.raises(wml.MalformedBinary, match=f"^{re.escape(message)}$"):
         wml.decode(data)
+
+
+def _mutate_binary(rng: random.Random, data: bytes) -> bytes:
+    i = rng.randrange(len(data))
+    op = rng.randrange(4)
+    if op == 0:  # truncate
+        return data[:i]
+    if op == 1:  # flip one bit
+        return data[:i] + bytes([data[i] ^ 1 << rng.randrange(8)]) + data[i + 1:]
+    if op == 2:  # insert
+        return data[:i] + bytes([rng.randrange(256)]) + data[i:]
+    return data[:i] + data[i + 1:]  # delete
+
+
+def test_mutated_binary_decodes_or_raises_malformed_binary():
+    rng = random.Random(43)
+    decks = [wml.encode(doc) for doc in document_corpus(n=50, min_elements=10)]
+    outcomes = {"decoded": 0, "rejected": 0}
+    for _ in range(2000):
+        data = _mutate_binary(rng, rng.choice(decks))
+        try:
+            doc = wml.decode(data)
+        except wml.MalformedBinary:
+            outcomes["rejected"] += 1
+        else:
+            assert wml.decode(wml.encode(doc)) == doc, data
+            outcomes["decoded"] += 1
+    # both branches are exercised, not one alone
+    assert min(outcomes.values()) >= 200, outcomes
 
 
 def test_unencodable_text_rejected():
