@@ -7,6 +7,7 @@ import logging
 import signal
 import sys
 import threading
+import time
 
 from . import wml, wtls
 from .bearer import UdpBearer
@@ -112,7 +113,8 @@ def wapgw_main(argv=None) -> int:
         "listening on %s (session port %d, connectionless %d)",
         gateway.bearer_addr, config.listen_port, config.connectionless_port)
     stop.wait()
-    gateway.close(drain_s=2.0)
+    time.sleep(2.0)  # let replies to fetches in flight go out
+    gateway.close()
     return 0
 
 

@@ -40,8 +40,8 @@ class TimerHandle:
 class VirtualClock:
     """Manually advanced clock for deterministic single-threaded runs."""
 
-    def __init__(self, start: float = 0.0):
-        self._now = start
+    def __init__(self):
+        self._now = 0.0
         self._heap: list[tuple[float, int, TimerHandle]] = []
         self._seq = 0
 

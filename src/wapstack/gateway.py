@@ -7,12 +7,13 @@ Request path: compact WSP method -> expanded HTTP request (plus a
 ``text/vnd.wap.wml`` response body is parsed and re-encoded as
 ``application/wmlc``; everything else passes through byte-identically.
 
-Compile cache: the WMLC of each WML body is kept in one LRU map keyed on
-the exact source bytes and bounded by ``_WMLC_CACHE_BYTES`` (1 MiB of
-source plus WMLC), so a deck served again is encoded once.  The origin is
-still fetched every time, so a reply is correct by construction.  Decks that
-fail to compile are not kept, and a deck larger than the bound is compiled
-and not stored.
+Compile cache: the WMLC of each WML body is kept in a
+``functools.lru_cache`` keyed on the exact source bytes, holding at most
+``_WMLC_CACHE_DECKS`` decks, so a deck served again is encoded once.  The
+origin is still fetched every time, so a reply is correct by construction.
+Decks that fail to compile are not kept, and a source larger than
+``_WMLC_CACHE_MAX_SOURCE`` bytes is compiled and not stored, which bounds
+what the cache holds.
 
 Failure classification: bad or non-http URL -> 400, origin unreachable or
 WML encode failure -> 502, origin timeout -> 504.
@@ -23,13 +24,12 @@ server semantics are testable in-process.
 
 from __future__ import annotations
 
+import functools
 import http.client
 import logging
 import socket
-import threading
 import time
 import urllib.parse
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -123,14 +123,13 @@ class HttpExchange:
 
 def translate_request(msg: wsp.WspMessage) -> HttpExchange:
     """Expand a compact Get/Post into the HTTP request half."""
-    method = {wsp.PDU_GET: "GET", wsp.PDU_POST: "POST"}.get(msg.pdu_type)
-    if method is None:
+    if msg.method is None:
         raise BadUri(f"pdu type {msg.pdu_type:#04x} is not a method")
     parts = urllib.parse.urlsplit(msg.uri)
     if parts.scheme != "http" or not parts.netloc:
         raise BadUri(f"need an absolute http URL, got {msg.uri!r}")
     headers = list(msg.headers) + [VIA_HEADER]
-    return HttpExchange(method, msg.uri, headers, msg.body)
+    return HttpExchange(msg.method, msg.uri, headers, msg.body)
 
 
 def fetch_origin(exchange: HttpExchange, timeout_s: float) -> HttpExchange:
@@ -161,48 +160,24 @@ def fetch_origin(exchange: HttpExchange, timeout_s: float) -> HttpExchange:
     return exchange
 
 
-_WMLC_CACHE_BYTES = 1 << 20  # source plus WMLC bytes kept by _WmlcCache
+# at most 64 x (8 KiB of source + its WMLC, which is smaller): under 1 MiB
+_WMLC_CACHE_DECKS = 64
+_WMLC_CACHE_MAX_SOURCE = 8 << 10
 
 
-class _WmlcCache:
-    """WML source bytes -> WMLC bytes, least recently used evicted first
-    once the bytes held pass ``_WMLC_CACHE_BYTES``.
-
-    One instance serves every gateway in the process: a key is the whole
-    source, and WMLC is a function of the source alone, so sharing can
-    change what is computed again, never what is served.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[bytes, bytes] = OrderedDict()
-        self._size = 0
-
-    def compile(self, source: bytes) -> bytes:
-        """The WMLC of ``source``; raises ``WmlError`` or
-        ``UnicodeDecodeError`` for a bad deck, which is not kept."""
-        with self._lock:
-            wmlc = self._entries.get(source)
-            if wmlc is not None:
-                self._entries.move_to_end(source)
-                return wmlc
-        # compiled outside the lock; two threads may race on a new deck and
-        # both compile it, which costs time, not correctness
-        wmlc = wml.encode(wml.parse(source.decode("ascii")))
-        cost = len(source) + len(wmlc)
-        if cost > _WMLC_CACHE_BYTES:
-            return wmlc
-        with self._lock:
-            if source not in self._entries:
-                self._entries[source] = wmlc
-                self._size += cost
-                while self._size > _WMLC_CACHE_BYTES:
-                    old_source, old_wmlc = self._entries.popitem(last=False)
-                    self._size -= len(old_source) + len(old_wmlc)
-        return wmlc
+@functools.lru_cache(maxsize=_WMLC_CACHE_DECKS)
+def _compile_cached(source: bytes) -> bytes:
+    """The WMLC of ``source``; raises ``WmlError`` or ``UnicodeDecodeError``
+    for a bad deck, which ``lru_cache`` does not keep.  One cache serves
+    every gateway in the process, because WMLC is a function of the source
+    alone."""
+    return wml.encode(wml.parse(source.decode("ascii")))
 
 
-_wmlc_cache = _WmlcCache()
+def _compile_wml(source: bytes) -> bytes:
+    if len(source) > _WMLC_CACHE_MAX_SOURCE:
+        return _compile_cached.__wrapped__(source)
+    return _compile_cached(source)
 
 
 def translate_response(exchange: HttpExchange) -> tuple[int, list[tuple[str, str]], bytes]:
@@ -212,7 +187,7 @@ def translate_response(exchange: HttpExchange) -> tuple[int, list[tuple[str, str
     rewrite_wml = wsp.content_type(exchange.response_headers) == WML_MIME
     if rewrite_wml:
         try:
-            body = _wmlc_cache.compile(exchange.response_body)
+            body = _compile_wml(exchange.response_body)
         except (wml.WmlError, UnicodeDecodeError) as exc:
             raise ContentEncodeFailure(f"{exchange.url}: {exc}") from exc
     for name, value in exchange.response_headers:
@@ -283,10 +258,8 @@ class Gateway:
     def session_count(self) -> int:
         return self.wsp_server.session_count()
 
-    def _handle_method(self, method, uri, headers, body, ctx):
+    def _handle_method(self, msg: wsp.WspMessage, ctx):
         start = time.monotonic()
-        msg = wsp.WspMessage(wsp.PDU_GET if method == "GET" else wsp.PDU_POST,
-                             uri=uri, headers=headers, body=body)
         try:
             exchange = self._fetch(translate_request(msg))
             status, out_headers, out_body = translate_response(exchange)
@@ -295,12 +268,11 @@ class Gateway:
             out_body = str(exc).encode("ascii", "replace")
         dur_ms = (time.monotonic() - start) * 1000.0
         log.info("session=%d tid=%d method=%s uri=%s status=%d dur_ms=%.1f",
-                 ctx["session_id"], ctx["tid"], method, uri, status, dur_ms)
+                 ctx["session_id"], ctx["tid"], msg.method, msg.uri, status,
+                 dur_ms)
         return status, out_headers, out_body
 
-    def close(self, drain_s: float = 0.0) -> None:
-        if drain_s > 0:
-            time.sleep(drain_s)
+    def close(self) -> None:
         self.wsp_server.close()
         self.provider.close()
         self._executor.shutdown(wait=False)

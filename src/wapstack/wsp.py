@@ -53,7 +53,7 @@ PDU_POST = 0x60
 _ALL_PDU_TYPES = {PDU_CONNECT, PDU_CONNECT_REPLY, PDU_REPLY, PDU_DISCONNECT,
                   PDU_SUSPEND, PDU_RESUME, PDU_GET, PDU_POST}
 _WITH_SESSION_ID = {PDU_CONNECT, PDU_CONNECT_REPLY, PDU_SUSPEND, PDU_RESUME}
-_METHODS = {PDU_GET: "GET", PDU_POST: "POST"}
+METHODS = {PDU_GET: "GET", PDU_POST: "POST"}
 
 WELL_KNOWN_HEADERS = {
     "Accept": 0x00,
@@ -74,7 +74,6 @@ _VALUE_BY_CODE = {v: k for k, v in WELL_KNOWN_VALUES.items()}
 STATUS_ESCAPE = 0xFF
 
 # session states (client view)
-CONNECTING = "CONNECTING"
 CONNECTED = "CONNECTED"
 SUSPENDED = "SUSPENDED"
 CLOSED = "CLOSED"
@@ -209,6 +208,11 @@ class WspMessage:
     headers: list[tuple[str, str]] = field(default_factory=list)
     body: bytes = b""
 
+    @property
+    def method(self) -> str | None:
+        """The HTTP method of a Get or Post; None for any other PDU."""
+        return METHODS.get(self.pdu_type)
+
 
 def encode_message(msg: WspMessage) -> bytes:
     if msg.pdu_type not in _ALL_PDU_TYPES:
@@ -218,7 +222,7 @@ def encode_message(msg: WspMessage) -> bytes:
         out += struct.pack("!I", msg.session_id)
     if msg.pdu_type == PDU_REPLY:
         out += compact_status(msg.status)
-    if msg.pdu_type in _METHODS:
+    if msg.pdu_type in METHODS:
         try:
             raw_uri = msg.uri.encode("ascii")
         except UnicodeEncodeError:
@@ -247,7 +251,7 @@ def decode_message(data: bytes) -> WspMessage:
         pos += 4
     if pdu_type == PDU_REPLY:
         msg.status, pos = expand_status(data, pos)
-    if pdu_type in _METHODS:
+    if pdu_type in METHODS:
         end = data.find(b"\x00", pos)
         if end < 0:
             raise MalformedMessage("unterminated uri")
@@ -333,9 +337,9 @@ class WspSession:
         with self._lock:
             if self.state == CLOSED:
                 raise WrongState("session already closed")
+            self.state = CLOSED  # even if the Disconnect cannot be sent
             self._client._provider.invoke(
                 self._client._gateway, 0, encode_message(WspMessage(PDU_DISCONNECT)))
-            self.state = CLOSED
 
 
 class WspClient:
@@ -372,28 +376,28 @@ def _encode_reply(status: int, headers, body: bytes) -> bytes:
                                      body=body))
 
 
-def _run_handler(handler, executor, method: str, msg: WspMessage, ctx,
-                 send) -> None:
+def _run_handler(handler, executor, msg: WspMessage, ctx, send) -> None:
     """Run ``handler`` (on ``executor`` when given) and ``send`` the encoded
     Reply.  A failing handler is logged and answered 500; a Reply too large
     for one datagram is answered 502, so the client never waits it out.  A
     send that fails otherwise is logged, since no caller reads the result."""
     def work():
         try:
-            reply = _encode_reply(*handler(method, msg.uri, msg.headers,
-                                           msg.body, ctx))
+            reply = _encode_reply(*handler(msg, ctx))
         except Exception:
-            log.exception("handler failed: %s %s", method, msg.uri)
+            log.exception("handler failed: %s %s", msg.method, msg.uri)
             reply = _encode_reply(500, TEXT_PLAIN, b"internal handler error")
         try:
             try:
                 send(reply)
             except (wtp.OversizePayload, OversizeDatagram) as exc:
-                log.warning("reply to %s %s too large: %s", method, msg.uri, exc)
+                log.warning("reply to %s %s too large: %s", msg.method,
+                            msg.uri, exc)
                 send(_encode_reply(502, TEXT_PLAIN,
                                    b"reply too large for one datagram"))
         except Exception:  # e.g. WrongState: the client aborted meanwhile
-            log.exception("sending the reply to %s %s failed", method, msg.uri)
+            log.exception("sending the reply to %s %s failed", msg.method,
+                          msg.uri)
 
     if executor is not None:
         executor.submit(work)
@@ -416,10 +420,11 @@ class _SessionRecord:
 class WspServer:
     """Session service: answers Connect/Resume, routes methods to a handler.
 
-    ``handler(method, uri, headers, body, ctx)`` returns
-    ``(status_code, headers, body)``; ``ctx`` is a dict with ``session_id``
-    and ``tid`` for logging.  When an executor is given the handler runs on
-    a worker thread so slow origin fetches never stall the protocol stack.
+    ``handler(msg, ctx)`` gets the decoded Get or Post ``WspMessage`` and
+    returns ``(status_code, headers, body)``; ``ctx`` is a dict with
+    ``session_id`` and ``tid`` for logging.  When an executor is given the
+    handler runs on a worker thread so slow origin fetches never stall the
+    protocol stack.
     """
 
     def __init__(self, provider: wtp.WtpProvider, handler, clock,
@@ -473,7 +478,7 @@ class WspServer:
                         msg.pdu_type, inv.tclass, inv.src)
         elif msg.pdu_type == PDU_CONNECT:
             self._handle_connect(inv, msg)
-        elif msg.pdu_type in _METHODS:
+        elif msg.pdu_type in METHODS:
             self._handle_method(inv, msg)
         elif msg.pdu_type == PDU_RESUME:
             self._handle_resume(inv, msg)
@@ -537,8 +542,7 @@ class WspServer:
             self._reply(inv, 400, b"no connected session")
             return
         ctx = {"session_id": rec.session_id, "tid": inv.tid}
-        _run_handler(self._handler, self._executor, _METHODS[msg.pdu_type],
-                     msg, ctx, inv.respond)
+        _run_handler(self._handler, self._executor, msg, ctx, inv.respond)
 
     def close(self) -> None:
         self._closed = True
@@ -588,6 +592,6 @@ class ConnectionlessResponder:
             self.malformed_count += 1
             return
         rid = data[0]
-        _run_handler(self._handler, self._executor, "GET", msg,
+        _run_handler(self._handler, self._executor, msg,
                      {"session_id": 0, "tid": rid},
                      lambda reply: self._endpoint.send(src, bytes([rid]) + reply))

@@ -17,7 +17,7 @@ Concatenation: a leading 0x00 marker followed by repeated
 
 State machines (class 2): the initiator retransmits Invoke until it sees a
 standalone Ack or the Result; the Result is acknowledged with an Ack.  The
-responder delays its automatic Ack by ``ack_delay_ms`` so a prompt Result
+responder delays its automatic Ack by ``ACK_DELAY_MS`` so a prompt Result
 acknowledges the Invoke implicitly, and retransmits the Result until the
 initiator's Ack arrives.  Class 1 completes on Ack; class 0 is
 fire-and-forget.  When ``uak`` is set the provider never auto-acknowledges:
@@ -72,7 +72,8 @@ DONE = "DONE"
 ABORTED = "ABORTED"
 
 ABORT_USER = 0x01
-ABORT_RETRIES_EXHAUSTED = 0x02
+
+ACK_DELAY_MS = 100  # the responder's hold on its automatic Ack (see above)
 
 
 class WtpError(Exception):
@@ -218,12 +219,10 @@ def split_pdus(data: bytes) -> list[bytes]:
 class RetransmissionPolicy:
     retry_interval_ms: int = 300
     max_retrans: int = 8
-    ack_delay_ms: int = 100
     linger_ms: int = 3000  # how long completed state answers duplicates
 
     def validate(self) -> "RetransmissionPolicy":
-        for name in ("retry_interval_ms", "max_retrans", "ack_delay_ms",
-                     "linger_ms"):
+        for name in ("retry_interval_ms", "max_retrans", "linger_ms"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         return self
@@ -631,7 +630,7 @@ class WtpProvider:
             self._finish(txn, DONE)
         else:  # class 2, provider-acknowledged
             txn.timer = self._clock.call_later(
-                self._seconds(self.policy.ack_delay_ms), self._on_ack_delay, txn)
+                self._seconds(ACK_DELAY_MS), self._on_ack_delay, txn)
         if self.on_invoke is not None:
             self.on_invoke(txn)
 

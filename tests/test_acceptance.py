@@ -461,9 +461,9 @@ def _scripted_exchange(clock, gw_transport_factory, cli_transport_factory,
     log = []
     srv_provider = wtp.WtpProvider(gw_transport_factory(), clock)
     wsp.WspServer(srv_provider,
-                  lambda method, uri, headers, body, ctx:
+                  lambda msg, ctx:
                       (200, [("Content-Type", "text/plain")],
-                       f"{method} {uri}".encode()),
+                       f"{msg.method} {msg.uri}".encode()),
                   clock)
     cli_provider = wtp.WtpProvider(cli_transport_factory(log), clock)
     client = wsp.WspClient(cli_provider, gw_addr)

@@ -1,5 +1,6 @@
 """Gateway translation units and end-to-end fetches through the stack."""
 
+import functools
 import logging
 import sys
 import threading
@@ -320,7 +321,7 @@ DECKS = [f'<wml><card id="c{i}"><p>deck {i}</p><p>{"x" * (8 * i)}</p>'
 @pytest.fixture
 def parses(monkeypatch):
     """A fresh, empty compile cache; counts the WML sources parsed."""
-    monkeypatch.setattr(gw, "_wmlc_cache", gw._WmlcCache())
+    gw._compile_cached.cache_clear()
     seen = []
     parse = wml.parse
 
@@ -329,6 +330,13 @@ def parses(monkeypatch):
         return parse(text)
     monkeypatch.setattr(wml, "parse", counting_parse)
     return seen
+
+
+def small_cache(monkeypatch, maxsize):
+    """Swap in a compile cache of ``maxsize`` decks over the same function."""
+    cache = functools.lru_cache(maxsize=maxsize)(gw._compile_cached.__wrapped__)
+    monkeypatch.setattr(gw, "_compile_cached", cache)
+    return cache
 
 
 def wml_exchange(source: bytes, ctype: str = "text/vnd.wap.wml"):
@@ -361,19 +369,16 @@ def test_bad_deck_gets_502_every_time_and_is_not_cached(real_clock, parses):
         service.close()
     # "<bogus/>" is parsed on both fetches; the non-ASCII deck never decodes
     assert parses == ["<bogus/>", "<bogus/>"]
-    assert not gw._wmlc_cache._entries
+    assert gw._compile_cached.cache_info().currsize == 0
 
 
 def test_compile_cache_evicts_least_recently_used(monkeypatch, parses):
     a, b, c = (deck.encode() for deck in DECKS[:3])
-    cost = {src: len(src) + len(wml.encode(wml.parse(src.decode())))
-            for src in (a, b, c)}
-    parses.clear()
-    # room for the two largest, not for three
-    monkeypatch.setattr(gw, "_WMLC_CACHE_BYTES", cost[b] + cost[c])
+    cache = small_cache(monkeypatch, 2)
     for src in (a, b, a, c):  # the hit on a leaves b least recently used
         gw.translate_response(wml_exchange(src))
-    assert list(gw._wmlc_cache._entries) == [a, c]
+    assert parses == [DECKS[0], DECKS[1], DECKS[2]]
+    assert cache.cache_info().currsize == 2
     parses.clear()
     gw.translate_response(wml_exchange(a))
     assert parses == []
@@ -384,12 +389,18 @@ def test_compile_cache_evicts_least_recently_used(monkeypatch, parses):
 def test_deck_larger_than_the_bound_is_served_not_stored(monkeypatch, parses):
     fresh = wml.encode(wml.parse(WML_PAGE))
     parses.clear()
-    monkeypatch.setattr(gw, "_WMLC_CACHE_BYTES", len(WML_PAGE))
+    monkeypatch.setattr(gw, "_WMLC_CACHE_MAX_SOURCE", len(WML_PAGE) - 1)
     for _ in range(2):
         _, _, body = gw.translate_response(wml_exchange(WML_PAGE.encode()))
         assert body == fresh
     assert parses == [WML_PAGE, WML_PAGE]
-    assert not gw._wmlc_cache._entries
+    assert gw._compile_cached.cache_info().currsize == 0
+    # a deck of exactly the bound is stored
+    monkeypatch.setattr(gw, "_WMLC_CACHE_MAX_SOURCE", len(WML_PAGE))
+    for _ in range(2):
+        assert gw.translate_response(wml_exchange(WML_PAGE.encode()))[2] == fresh
+    assert parses == [WML_PAGE] * 3
+    assert gw._compile_cached.cache_info().currsize == 1
 
 
 def test_non_wml_bodies_bypass_the_compile_cache(parses):
@@ -398,13 +409,15 @@ def test_non_wml_bodies_bypass_the_compile_cache(parses):
                                                         ctype))
         assert body == WML_PAGE.encode()
     assert parses == []
-    assert not gw._wmlc_cache._entries
+    assert gw._compile_cached.cache_info() == (0, 0, gw._WMLC_CACHE_DECKS, 0)
 
 
 def test_concurrent_fetches_of_mixed_decks(real_clock, monkeypatch, parses):
-    # room for about two of the six decks, so the eight executor threads
-    # also evict concurrently
-    monkeypatch.setattr(gw, "_WMLC_CACHE_BYTES", 400)
+    # room for two of the six decks, so the eight executor threads also
+    # evict concurrently
+    cache = small_cache(monkeypatch, 2)
+    trees = [wml.parse(deck) for deck in DECKS]
+    parses.clear()
     pages = {f"/d{i}": ("text/vnd.wap.wml", deck.encode())
              for i, deck in enumerate(DECKS)}
     net = SimNetwork(real_clock)
@@ -420,7 +433,7 @@ def test_concurrent_fetches_of_mixed_decks(real_clock, monkeypatch, parses):
             for k in range(12):
                 i = (n + k * (n + 1)) % len(DECKS)
                 result = ua.fetch(f"http://local/d{i}")
-                if result.document != wml.parse(DECKS[i]):
+                if result.document != trees[i]:
                     failures.append((n, i, result.reply.status))
         except Exception as exc:  # reported below, not lost on the thread
             failures.append((n, exc))
@@ -436,13 +449,21 @@ def test_concurrent_fetches_of_mixed_decks(real_clock, monkeypatch, parses):
             t.join(timeout=30.0)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
-        # a lost update to the byte count would break this
-        entries = gw._wmlc_cache._entries
-        assert gw._wmlc_cache._size == sum(len(source) + len(wmlc)
-                                           for source, wmlc in entries.items())
-        assert gw._wmlc_cache._size <= gw._WMLC_CACHE_BYTES
+        info = cache.cache_info()
+        assert info.hits + info.misses == 8 * 12  # every fetch was compiled
+        assert info.misses == len(parses)  # and only a miss parses
+        assert info.currsize <= 2
     finally:
         sys.setswitchinterval(interval)
         for ua in agents:
             ua.close()
         service.close()
+
+
+def test_all_miss_traffic_keeps_the_cache_bounded(parses):
+    for i in range(200):
+        source = f'<wml><card id="c{i}"><p>one-off {i}</p></card></wml>'
+        gw.translate_response(wml_exchange(source.encode()))
+    info = gw._compile_cached.cache_info()
+    assert info.misses == len(parses) == 200
+    assert info.currsize <= gw._WMLC_CACHE_DECKS

@@ -144,6 +144,24 @@ def test_close_logs_a_failed_disconnect(real_clock, caplog):
         service.close()
 
 
+def test_failed_disconnect_still_closes_the_session(real_clock, caplog):
+    service, ua = make_ua(real_clock)
+    try:
+        ua.fetch("http://site/index")
+        session = ua.session
+        ua.provider.close()
+        with caplog.at_level(logging.WARNING, logger="wapstack.useragent"):
+            ua.close()
+            ua.close()  # the session is closed: no second Disconnect
+        logged = [r for r in caplog.records if r.name == "wapstack.useragent"]
+        assert len(logged) == 1
+        assert session.state == wsp.CLOSED
+        with pytest.raises(wsp.WrongState):
+            session.disconnect()
+    finally:
+        service.close()
+
+
 def test_navigate_to_non_deck_content_is_an_error(real_clock):
     service, ua = make_ua(real_clock)
     try:

@@ -13,9 +13,9 @@ from wapstack.wdp import WdpAddress, WdpStack
 GW = WdpAddress("gw", 9201)
 
 
-def echo_handler(method, uri, headers, body, ctx):
+def echo_handler(msg, ctx):
     return 200, [("Content-Type", "text/plain")], \
-        f"{method} {uri}".encode() + b"|" + body
+        f"{msg.method} {msg.uri}".encode() + b"|" + msg.body
 
 
 class Rig:
@@ -140,7 +140,7 @@ def test_two_clients_get_distinct_sessions(real_clock):
 
 
 def test_handler_exception_maps_to_500(real_clock, caplog):
-    def broken(method, uri, headers, body, ctx):
+    def broken(msg, ctx):
         raise RuntimeError("boom")
 
     rig = Rig(real_clock, handler=broken)
@@ -154,9 +154,9 @@ def test_handler_exception_maps_to_500(real_clock, caplog):
 def test_failed_reply_send_is_logged(real_clock, caplog):
     # The client aborts while the handler still runs, so sending the Reply
     # raises WrongState on the executor; that must reach the log.
-    def slow(method, uri, headers, body, ctx):
+    def slow(msg, ctx):
         time.sleep(0.3)
-        return echo_handler(method, uri, headers, body, ctx)
+        return echo_handler(msg, ctx)
 
     executor = ThreadPoolExecutor(max_workers=1)
     net = SimNetwork(real_clock)
@@ -195,6 +195,43 @@ def test_connectionless_get(real_clock):
     reply = wsp.connectionless_get(cl_client, WdpAddress("gw-cl", 9200),
                                    "/quick", timeout=5.0, request_id=42)
     assert reply.status == 200 and reply.body == b"GET /quick|"
+
+
+def test_handlers_get_the_decoded_message(real_clock):
+    seen = []
+
+    def recording(msg, ctx):
+        seen.append((msg, ctx))
+        return echo_handler(msg, ctx)
+
+    headers = [("User-Agent", "t/1"), ("X-Zeta", "z"), ("Accept", "text/plain"),
+               ("X-Alpha", "a")]
+    rig = Rig(real_clock, handler=recording)
+    session = rig.client.connect()
+    session.get("/g?q=1", headers)
+    session.post("/p", headers[::-1], body=b"\x00k=v\xff")
+    cl_server = WdpStack(rig.net.endpoint("gw-cl")).bind(9200)
+    wsp.ConnectionlessResponder(cl_server, recording)
+    cl_client = WdpStack(rig.net.endpoint("cli-cl")).bind_ephemeral()
+    wsp.connectionless_get(cl_client, WdpAddress("gw-cl", 9200), "/c",
+                           headers, timeout=5.0, request_id=7)
+    got = [(type(msg), msg.pdu_type, msg.method, msg.uri, msg.headers,
+            msg.body, ctx) for msg, ctx in seen]
+    sid = session.session_id
+    assert got[0][:6] == (wsp.WspMessage, wsp.PDU_GET, "GET", "/g?q=1",
+                          headers, b"")
+    assert got[1][:6] == (wsp.WspMessage, wsp.PDU_POST, "POST", "/p",
+                          headers[::-1], b"\x00k=v\xff")
+    assert [ctx["session_id"] for *_, ctx in got[:2]] == [sid, sid]
+    assert got[2] == (wsp.WspMessage, wsp.PDU_GET, "GET", "/c", headers, b"",
+                      {"session_id": 0, "tid": 7})
+
+
+def test_method_names_come_from_one_table():
+    assert wsp.METHODS == {wsp.PDU_GET: "GET", wsp.PDU_POST: "POST"}
+    for pdu_type in (wsp.PDU_CONNECT, wsp.PDU_REPLY, wsp.PDU_DISCONNECT,
+                     wsp.PDU_SUSPEND, wsp.PDU_RESUME):
+        assert wsp.WspMessage(pdu_type).method is None
 
 
 def test_connectionless_timeout_when_unanswered(real_clock):
