@@ -28,10 +28,22 @@ Each end keeps one record per transaction: the initiator's is the
 ``TransactionHandle`` returned by ``invoke``, the responder's is the
 ``Invocation`` passed to ``on_invoke``.  Both ends share one retry path: the
 Invoke or Result is sent, its rid-flagged copy is kept on the record and
-resent every ``retry_interval_ms`` until the record's timer is stopped or
+resent after each retry interval until the record's timer is stopped or
 ``max_retrans`` is spent, which aborts the transaction.  A duplicate Invoke
 gets that stored Result again until the transaction finishes; a finished
 record keeps no PDU.
+
+Retry intervals follow the measured round trip (RFC 6298).  Each provider
+keeps one SRTT/RTTVAR estimate per peer address, at most ``MAX_PEERS`` of
+them, the least recently sampled evicted first.  The initiator samples from
+its Invoke to the first Ack or Result, the responder from its Result to the
+Ack; a PDU sent more than once gives no sample (Karn's rule).  The RTO is
+SRTT + 4 RTTVAR, at least ``MIN_RTO_MS`` on the responder; the initiator's
+also covers the responder's Ack hold, ``ACK_DELAY_MS`` + SRTT.  A record's
+first retry waits one RTO and each later one twice the last, but never more
+than ``retry_interval_ms``, which is also what a peer with no sample gets.
+So the whole schedule fits inside the fixed one it replaces, and a
+responder's linger still outlasts every retransmitted Invoke.
 
 Completed records linger for ``linger_ms`` so duplicate PDUs re-trigger
 retransmissions but never a second user indication.  Records finish in time
@@ -74,6 +86,8 @@ ABORTED = "ABORTED"
 ABORT_USER = 0x01
 
 ACK_DELAY_MS = 100  # the responder's hold on its automatic Ack (see above)
+MIN_RTO_MS = 50     # the responder's floor on a measured retry interval
+MAX_PEERS = 1024    # round-trip estimates kept; the least recently sampled go
 
 
 class WtpError(Exception):
@@ -217,6 +231,8 @@ def split_pdus(data: bytes) -> list[bytes]:
 
 @dataclass
 class RetransmissionPolicy:
+    # the first retry interval to a peer with no round-trip sample yet, and
+    # the longest interval to any peer
     retry_interval_ms: int = 300
     max_retrans: int = 8
     linger_ms: int = 3000  # how long completed state answers duplicates
@@ -256,8 +272,8 @@ class TransactionHandle:
     """
 
     __slots__ = ("tid", "tclass", "dst", "state", "result", "oob", "error",
-                 "timer", "resend", "retransmits", "_provider", "_event",
-                 "_callbacks", "__weakref__")
+                 "timer", "resend", "retransmits", "sent_at", "_provider",
+                 "_event", "_callbacks", "__weakref__")
 
     def __init__(self, provider: "WtpProvider", tid: int, tclass: int, dst):
         self.tid = tid
@@ -270,6 +286,7 @@ class TransactionHandle:
         self.timer = None        # retry timer
         self.resend: WtpPdu | None = None  # rid-flagged Invoke to repeat
         self.retransmits = 0
+        self.sent_at: float | None = None  # round-trip sample start
         self._provider = provider
         self._event: threading.Event | None = None
         self._callbacks: list[Callable[["TransactionHandle"], None]] = []
@@ -329,8 +346,8 @@ class Invocation:
     the provider's record of that transaction while it runs and lingers."""
 
     __slots__ = ("_provider", "src", "tid", "tclass", "payload", "uak", "state",
-                 "timer", "resend", "retransmits", "acked_standalone",
-                 "last_oob")
+                 "timer", "resend", "retransmits", "sent_at",
+                 "acked_standalone", "last_oob")
 
     def __init__(self, provider: "WtpProvider", src, tid: int, tclass: int,
                  payload: bytes, uak: bool):
@@ -344,6 +361,7 @@ class Invocation:
         self.timer = None        # delayed-Ack timer, then retry timer
         self.resend: WtpPdu | None = None  # rid-flagged Result to repeat
         self.retransmits = 0
+        self.sent_at: float | None = None  # round-trip sample start
         self.acked_standalone = False
         self.last_oob = b""
 
@@ -379,6 +397,8 @@ class WtpProvider:
         self._responder: dict[tuple, Invocation] = {}
         self._lingering: deque[tuple[float, dict, object]] = deque()
         self._linger_timer = None  # armed for the head of _lingering
+        # peer -> (SRTT, RTTVAR) in ms, least recently sampled first
+        self._rtt: dict[object, tuple[float, float]] = {}
         self.on_invoke: Callable[[Invocation], None] | None = None
         self.on_abort = None  # optional: fn(src, tid, reason)
         self.malformed_count = 0
@@ -407,16 +427,56 @@ class WtpProvider:
     def _seconds(self, ms: int) -> float:
         return ms / 1000.0
 
+    def _rto_ms(self, peer, initiator: bool) -> float:
+        """The first retry interval for a PDU to ``peer``: RFC 6298's
+        SRTT + 4 RTTVAR.  An initiator also waits out the responder's
+        ``ACK_DELAY_MS`` hold; a peer with no sample gets
+        ``retry_interval_ms``."""
+        estimate = self._rtt.get(peer)
+        if estimate is None:
+            return self.policy.retry_interval_ms
+        srtt, rttvar = estimate
+        if initiator:
+            return max(srtt + 4 * rttvar, ACK_DELAY_MS + srtt)
+        return max(srtt + 4 * rttvar, MIN_RTO_MS)
+
+    def _retry_delay(self, txn, peer) -> float:
+        """Seconds until ``txn``'s next retry: the peer's RTO doubled per
+        retransmission so far, and never more than ``retry_interval_ms``,
+        so the whole schedule fits in the fixed one."""
+        rto = self._rto_ms(peer, isinstance(txn, TransactionHandle))
+        return self._seconds(min(rto * 2 ** txn.retransmits,
+                                 self.policy.retry_interval_ms))
+
+    def _sample(self, txn, peer) -> None:
+        """Fold the time since ``txn``'s PDU was sent into ``peer``'s
+        estimate (RFC 6298).  A PDU sent more than once gives no sample
+        (Karn), since its answer may be to any copy."""
+        if txn.sent_at is None:
+            return
+        rtt = (self._clock.now() - txn.sent_at) * 1000.0
+        txn.sent_at = None
+        estimate = self._rtt.pop(peer, None)
+        if estimate is None:
+            if len(self._rtt) >= MAX_PEERS:
+                del self._rtt[next(iter(self._rtt))]
+            self._rtt[peer] = (rtt, rtt / 2)
+        else:
+            srtt, rttvar = estimate
+            self._rtt[peer] = (0.875 * srtt + 0.125 * rtt,
+                               0.75 * rttvar + 0.25 * abs(srtt - rtt))
+
     def _transmit(self, txn, dst, pdu: WtpPdu) -> None:
         """Send ``pdu``, keep its rid-flagged copy on ``txn`` and resend that
-        every ``retry_interval_ms`` until ``txn``'s timer is stopped or
+        after each retry delay until ``txn``'s timer is stopped or
         ``max_retrans`` is spent, which aborts ``txn``."""
         self._send(dst, pdu)
+        if not pdu.uak:  # a user acknowledgement would time the user
+            txn.sent_at = self._clock.now()
         pdu.rid = True  # the trace event above has the first-send flag
         txn.resend = pdu
         txn.timer = self._clock.call_later(
-            self._seconds(self.policy.retry_interval_ms), self._on_retry,
-            txn, dst)
+            self._retry_delay(txn, dst), self._on_retry, txn, dst)
 
     def _on_retry(self, txn, dst) -> None:
         with self._lock:
@@ -429,10 +489,10 @@ class WtpProvider:
                     f"tid {txn.tid}: {txn.retransmits} retransmissions exhausted"))
                 return
             txn.retransmits += 1
+            txn.sent_at = None
             self._send(dst, txn.resend)
             txn.timer = self._clock.call_later(
-                self._seconds(self.policy.retry_interval_ms), self._on_retry,
-                txn, dst)
+                self._retry_delay(txn, dst), self._on_retry, txn, dst)
 
     def _finish(self, txn, state: str, error: Exception | None = None) -> None:
         """Stop ``txn``'s timer, complete it, and forget it after
@@ -592,6 +652,7 @@ class WtpProvider:
         if pdu.pdu_type == PDU_ACK:
             if handle.state != INVOKE_SENT:
                 return
+            self._sample(handle, handle.dst)
             if pdu.oob:
                 handle.oob = pdu.oob
             if handle.tclass == 1:
@@ -602,6 +663,7 @@ class WtpProvider:
             if handle.tclass != 2:
                 return
             if handle.state == INVOKE_SENT:
+                self._sample(handle, handle.dst)
                 handle.result = pdu.payload
                 self._send(handle.dst, WtpPdu(PDU_ACK, handle.tid))
                 self._finish(handle, DONE)
@@ -637,6 +699,7 @@ class WtpProvider:
     def _on_duplicate_invoke(self, txn: Invocation) -> None:
         # never a second indication; re-trigger whatever answer we last gave
         if txn.state == RESULT_SENT:
+            txn.sent_at = None
             self._send(txn.src, txn.resend)
         elif txn.acked_standalone and txn.state in (INVOKE_RCVD, DONE):
             self._send(txn.src, WtpPdu(PDU_ACK, txn.tid, rid=True,
@@ -645,6 +708,7 @@ class WtpProvider:
     def _on_responder_pdu(self, txn: Invocation, pdu: WtpPdu) -> None:
         if pdu.pdu_type == PDU_ACK:
             if txn.state == RESULT_SENT:
+                self._sample(txn, txn.src)
                 self._finish(txn, DONE)
         elif pdu.pdu_type == PDU_ABORT:
             if txn.state in (DONE, ABORTED):

@@ -15,11 +15,20 @@ The whole run is reduced to one SHA-256: every datagram put on a bearer
 and every handle outcome.  Any change to what WTP sends, when it sends it,
 or how a transaction ends changes the digest.  A refactor that keeps the
 protocol's behaviour must keep it; a deliberate behaviour change updates
-``EXPECTED`` and says why.
+the digests and says why.
+
+Two digests are pinned.  ``EXPECTED`` is the reference: every retry
+interval is pinned to ``retry_interval_ms`` (``WtpProvider._rto_ms`` is
+patched), as before round-trip estimation, so it shows that the estimator
+changes nothing but timing.  ``EXPECTED_ADAPTIVE`` is the provider as it
+ships, with per-peer round-trip estimates.  ``python
+tests/test_wtp_differential.py`` (with ``src`` on ``PYTHONPATH``) prints
+both.
 """
 
 import hashlib
 import random
+from unittest import mock
 
 from wapstack import wdp, wtp
 from wapstack.bearer import ImpairmentProfile, RawDatagram, SimNetwork
@@ -28,6 +37,8 @@ from wapstack.wdp import WdpAddress, WdpStack
 
 SCENARIOS = 90
 EXPECTED = "a50caa1f8bf6f3d385a3b4b2cd82c77ef7c57dc5e39c635decbf46924b41272b"
+EXPECTED_ADAPTIVE = (
+    "481afa7dccec965ff7a9793f19f9f912ebc195e22ab72ccfc80775bbf56d4d7c")
 
 SRV = WdpAddress("srv", 2000)
 CLIENTS = ("cli0", "cli1")
@@ -173,5 +184,25 @@ def run_scenarios(count: int = SCENARIOS) -> str:
     return digest.hexdigest()
 
 
+def _fixed_rto(provider, peer, initiator):
+    return provider.policy.retry_interval_ms
+
+
+def reference_digest(count: int = SCENARIOS) -> str:
+    """The digest with every retry interval pinned to
+    ``retry_interval_ms``."""
+    with mock.patch.object(wtp.WtpProvider, "_rto_ms", _fixed_rto):
+        return run_scenarios(count)
+
+
 def test_wtp_differential_digest_is_pinned():
-    assert run_scenarios() == EXPECTED
+    assert reference_digest() == EXPECTED
+
+
+def test_wtp_differential_adaptive_digest_is_pinned():
+    assert run_scenarios() == EXPECTED_ADAPTIVE
+
+
+if __name__ == "__main__":
+    print("reference", reference_digest())
+    print("adaptive ", run_scenarios())

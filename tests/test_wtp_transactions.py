@@ -432,3 +432,163 @@ def test_close_during_linger_leaves_no_timer():
     pair.cli.close()
     pair.srv.close()
     assert pair.clock.pending() == 0
+
+
+# --- round-trip estimation ----------------------------------------------------
+# Delays are hand-set by delivery scripts (milliseconds per datagram); the
+# estimate is RFC 6298's: a first sample R gives SRTT = R, RTTVAR = R/2, and a
+# later R' gives RTTVAR = 3/4 RTTVAR + 1/4 |SRTT - R'|, SRTT = 7/8 SRTT + 1/8 R'.
+
+CLI = WdpAddress("cli", 1000)
+
+
+def test_rtt_estimate_after_the_first_and_second_sample():
+    pair = Pair()
+    pair.responder = lambda inv: inv.respond(b"R")
+    # each Result takes 4 ms; the first Invoke and its Ack 4 ms, the second
+    # Invoke and its Ack 12 ms
+    pair.srv_bearer.set_delivery_script(lambda dgram, index: [4])
+    pair.cli_bearer.set_delivery_script(
+        lambda dgram, index: [4] if index < 2 else [12])
+    first = pair.cli.invoke(SRV, 2, b"1")
+    pair.clock.advance(1.0)
+    # Invoke at 0 -> Result at 4 ms -> back at 8 ms -> Ack in at 12 ms
+    assert first.result == b"R"
+    assert pair.cli._rtt[SRV] == pytest.approx((8.0, 4.0))
+    assert pair.srv._rtt[CLI] == pytest.approx((8.0, 4.0))
+    second = pair.cli.invoke(SRV, 2, b"2")
+    pair.clock.advance(1.0)
+    # both ends sample 16 ms: RTTVAR = 3 + 2 = 5, SRTT = 7 + 2 = 9
+    assert second.result == b"R"
+    assert pair.cli._rtt[SRV] == pytest.approx((9.0, 5.0))
+    assert pair.srv._rtt[CLI] == pytest.approx((9.0, 5.0))
+    # RTO: the initiator's max(9 + 4*5, 100 + 9); the responder's 9 + 4*5,
+    # at least MIN_RTO_MS
+    assert pair.cli._rto_ms(SRV, True) == pytest.approx(109.0)
+    assert pair.srv._rto_ms(CLI, False) == pytest.approx(wtp.MIN_RTO_MS)
+
+
+@pytest.mark.parametrize("cli_script, srv_script, sampled_by", [
+    # the first Invoke is lost and resent; the Result goes once
+    (lambda dgram, index: [] if index == 0 else [1], None, {"srv"}),
+    # the first Result is lost and resent; the Invoke goes once
+    (None, lambda dgram, index: [] if index == 0 else [1], {"cli"}),
+    # the Invoke arrives twice, and the copy is answered with the Result again
+    (lambda dgram, index: [1, 2] if index == 0 else [1], None, {"cli"}),
+], ids=["invoke-resent", "result-resent", "result-answers-duplicate"])
+def test_no_sample_from_a_pdu_sent_more_than_once(cli_script, srv_script,
+                                                  sampled_by):
+    # the server retries first, so a lost Result is not also re-asked for
+    pair = Pair(cli_policy=wtp.RetransmissionPolicy(retry_interval_ms=500),
+                srv_policy=wtp.RetransmissionPolicy(retry_interval_ms=200))
+    pair.responder = lambda inv: inv.respond(b"R")
+    pair.cli_bearer.set_delivery_script(cli_script or (lambda d, i: [1]))
+    pair.srv_bearer.set_delivery_script(srv_script or (lambda d, i: [1]))
+    handle = pair.cli.invoke(SRV, 2, b"q")
+    pair.clock.run_until_idle(limit=10.0)
+    assert handle.result == b"R"
+    assert {name for name, provider in (("cli", pair.cli), ("srv", pair.srv))
+            if provider._rtt} == sampled_by
+
+
+def test_retry_intervals_double_and_stop_at_retry_interval_ms():
+    pair = Pair()
+    pair.responder = lambda inv: inv.respond(b"R")
+    sends = []
+
+    def cli_script(dgram, index):
+        if index < 2:  # the first Invoke and its Ack: 1 ms each way
+            return [1]
+        sends.append(pair.clock.now())
+        return []  # every later Invoke is lost
+
+    pair.cli_bearer.set_delivery_script(cli_script)
+    pair.srv_bearer.set_delivery_script(lambda dgram, index: [1])
+    pair.cli.invoke(SRV, 2, b"sample")
+    pair.clock.advance(1.0)
+    # one 2 ms sample: SRTT 2, RTTVAR 1, RTO max(2 + 4, 100 + 2) = 102 ms
+    assert pair.cli._rtt[SRV] == pytest.approx((2.0, 1.0))
+    handle = pair.cli.invoke(SRV, 2, b"lost")
+    pair.clock.run_until_idle(limit=10.0)
+    gaps = [b - a for a, b in zip(sends, sends[1:])]
+    # 102, 204, then capped at 300 for the other six of max_retrans = 8
+    assert gaps == pytest.approx([0.102, 0.204] + [0.3] * 6)
+    assert handle.state == wtp.ABORTED
+    with pytest.raises(wtp.TransactionTimeout):
+        handle.wait(0)
+
+
+def test_converged_initiator_waits_out_the_ack_delay():
+    pair = Pair()
+    pair.responder = lambda inv: inv.respond(b"prompt")
+    for bearer in (pair.cli_bearer, pair.srv_bearer):
+        bearer.set_delivery_script(lambda dgram, index: [0.5])
+    for n in range(40):
+        pair.cli.invoke(SRV, 2, bytes([n]))
+        pair.clock.advance(0.01)
+    # every sample is 1 ms: SRTT stays 1, RTTVAR = 0.5 * 0.75**39
+    srtt, rttvar = pair.cli._rtt[SRV]
+    assert srtt == pytest.approx(1.0) and rttvar < 1e-4
+    # a responder that answers at 90 ms: its Result is back at 91 ms, inside
+    # the initiator's RTO of max(1 + 4 RTTVAR, 100 + 1) = 101 ms
+    pair.responder = lambda inv: pair.clock.call_later(0.09, inv.respond,
+                                                       b"slow")
+    handle = pair.cli.invoke(SRV, 2, b"q")
+    pair.clock.advance(0.5)
+    assert handle.result == b"slow"
+    assert ("snd", "Invoke", True) not in pair.node_events("cli")
+
+
+def test_measured_round_trip_cuts_the_lossy_tail():
+    # 300 sequential class-2 transactions at 10% loss each way, 1 ms delay:
+    # with a fixed 300 ms retry interval the 95th percentile sits near 300 ms
+    pair = Pair(cli_profile=ImpairmentProfile(loss_prob=0.1, delay_ms=1,
+                                              seed=61),
+                srv_profile=ImpairmentProfile(loss_prob=0.1, delay_ms=1,
+                                              seed=62))
+    pair.responder = lambda inv: inv.respond(b"R:" + inv.payload)
+    took = []
+
+    def launch(n):
+        started = pair.clock.now()
+        handle = pair.cli.invoke(SRV, 2, b"%d" % n)
+
+        def done(h):
+            took.append((pair.clock.now() - started, h.result))
+            if n + 1 < 300:
+                pair.clock.call_later(0.0, launch, n + 1)
+        handle.add_done_callback(done)
+
+    launch(0)
+    pair.clock.run_until_idle(limit=600.0)
+    assert [result for _, result in took] == [b"R:%d" % n for n in range(300)]
+    tids = [inv.tid for inv in pair.indications]
+    assert len(tids) == len(set(tids)) == 300  # no duplicate indication
+    p95 = sorted(t for t, _ in took)[int(0.95 * 300)]
+    assert p95 < 0.150, f"p95 {p95 * 1000:.0f} ms"
+
+
+class _Sink:
+    """A transport that drops what it is given; tests feed the receiver."""
+
+    max_payload = 1400
+
+    def set_receiver(self, fn):
+        self.receive = fn
+
+    def send(self, dst, payload):
+        pass
+
+
+def test_round_trip_estimates_are_bounded_per_provider():
+    transport = _Sink()
+    provider = wtp.WtpProvider(transport, VirtualClock())
+    provider.on_invoke = lambda inv: inv.respond(b"R")
+    sources = [f"handset{n}" for n in range(10_000)]
+    for src in sources:  # Invoke, Result, Ack: one sample per source
+        transport.receive(src, wtp.encode_pdu(
+            wtp.WtpPdu(wtp.PDU_INVOKE, 7, tclass=2)))
+        transport.receive(src, wtp.encode_pdu(wtp.WtpPdu(wtp.PDU_ACK, 7)))
+    # the least recently sampled are evicted first
+    assert list(provider._rtt) == sources[-wtp.MAX_PEERS:]
+    provider.close()
