@@ -96,6 +96,48 @@ def test_class2_slow_responder_triggers_standalone_ack():
     assert handle.done and handle.result == b"late answer"
 
 
+def test_initiator_gives_up_when_every_result_after_the_ack_is_lost():
+    pair = Pair()
+    # slow enough that the responder sends a standalone Ack first
+    pair.responder = lambda inv: pair.clock.call_later(
+        0.25, inv.respond, b"never arrives")
+    ack_at = []
+
+    def srv_script(dgram, index):
+        if index == 0:  # the standalone Ack, sent at 100 ms, in at 101 ms
+            ack_at.append(pair.clock.now() + 0.001)
+            return [1]
+        return []  # every Result is lost
+
+    pair.srv_bearer.set_delivery_script(srv_script)
+    handle = pair.cli.invoke(SRV, 2, b"q")
+    ended = []
+    handle.add_done_callback(lambda h: ended.append(pair.clock.now()))
+    pair.clock.run_until_idle(limit=60.0)
+    assert handle.state == wtp.ABORTED
+    with pytest.raises(wtp.TransactionTimeout, match="no Result"):
+        handle.wait(0)
+    # the wait outlasts the responder's Result retries:
+    # (max_retrans + 1) * retry_interval_ms = 9 * 300 ms after the Ack
+    assert ended == pytest.approx([ack_at[0] + 2.7])
+    assert pair.node_events("cli").count(("snd", "Invoke", True)) == 0
+    assert pair.clock.pending() == 0
+
+
+def test_a_result_after_the_ack_stops_the_wait():
+    pair = Pair()
+    pair.responder = lambda inv: pair.clock.call_later(
+        0.25, inv.respond, b"late answer")
+    # the standalone Ack arrives, the first two Results are lost, and the
+    # third gets through
+    pair.srv_bearer.set_delivery_script(
+        lambda dgram, index: [] if index in (1, 2) else [1])
+    handle = pair.cli.invoke(SRV, 2, b"q")
+    pair.clock.run_until_idle(limit=60.0)
+    assert handle.state == wtp.DONE and handle.result == b"late answer"
+    assert pair.clock.pending() == 0
+
+
 def test_invoke_retransmits_then_exhausts():
     policy = wtp.RetransmissionPolicy(retry_interval_ms=100, max_retrans=3)
     pair = Pair(cli_policy=policy,
