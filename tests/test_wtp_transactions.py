@@ -533,6 +533,16 @@ def test_no_sample_from_a_pdu_sent_more_than_once(cli_script, srv_script,
             if provider._rtt} == sampled_by
 
 
+def test_no_sample_from_a_user_acknowledged_invoke():
+    pair = Pair()
+    # the Ack comes when the user gives it, so it does not time the path
+    pair.responder = lambda inv: pair.clock.call_later(0.2, inv.ack)
+    handle = pair.cli.invoke(SRV, 1, b"ping", uak=True)
+    pair.clock.advance(0.5)
+    assert handle.state == wtp.DONE
+    assert pair.cli._rtt == {}
+
+
 def test_retry_intervals_double_and_stop_at_retry_interval_ms():
     pair = Pair()
     pair.responder = lambda inv: inv.respond(b"R")
