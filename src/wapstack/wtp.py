@@ -286,7 +286,7 @@ class TransactionHandle:
         self.result: bytes | None = None
         self.oob: bytes | None = None
         self.error: Exception | None = None
-        self.timer = None        # retry timer
+        self.timer = None        # retry timer, then the wait for the Result
         self.resend: WtpPdu | None = None  # rid-flagged Invoke to repeat
         self.retransmits = 0
         self.sent_at: float | None = None  # round-trip sample start

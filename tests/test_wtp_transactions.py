@@ -124,6 +124,32 @@ def test_initiator_gives_up_when_every_result_after_the_ack_is_lost():
     assert pair.clock.pending() == 0
 
 
+def test_no_handle_is_left_pending_on_a_lossy_link():
+    # A seeded run at 30% loss each way.  The responder is slow enough to
+    # send standalone Acks, and never answers every tenth Invoke, as a hung
+    # application would; every handle must still end, and no timer be left.
+    lossy = [ImpairmentProfile(loss_prob=0.3, delay_ms=5, seed=s)
+             for s in (71, 72)]
+    pair = Pair(cli_profile=lossy[0], srv_profile=lossy[1])
+
+    def respond_late(inv):
+        if inv.payload[0] % 10:
+            pair.clock.call_later(0.15, inv.respond, b"R")
+
+    pair.responder = respond_late
+    handles = []
+    for n in range(200):
+        pair.clock.call_later(n * 0.02, lambda n=n: handles.append(
+            pair.cli.invoke(SRV, 2, bytes([n]))))
+    pair.clock.run_until_idle(limit=120.0)
+    assert len(handles) == 200
+    assert [h.tid for h in handles if not h.done] == []
+    assert pair.clock.pending() == 0
+    for n, handle in enumerate(handles):
+        if n % 10 == 0:
+            assert isinstance(handle.error, wtp.TransactionTimeout)
+
+
 def test_a_result_after_the_ack_stops_the_wait():
     pair = Pair()
     pair.responder = lambda inv: pair.clock.call_later(
