@@ -27,6 +27,7 @@ retransmits.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import os
@@ -352,9 +353,17 @@ class WspClient:
     def _round_trip(self, msg: WspMessage, timeout: float) -> WspMessage:
         """Send ``msg`` on a class-2 transaction; return the decoded Result.
         Each caller checks the reply's PDU type, because each maps a wrong
-        one to its own exception."""
+        one to its own exception.  When ``timeout`` runs out first the
+        transaction is aborted, so its tid is freed even if WTP itself would
+        wait on for a Result."""
         handle = self._provider.invoke(self._gateway, 2, encode_message(msg))
-        return decode_message(handle.wait(timeout).result)
+        try:
+            handle.wait(timeout)
+        except wtp.TransactionTimeout:
+            with contextlib.suppress(wtp.AlreadyCompleted):
+                handle.abort()
+            raise
+        return decode_message(handle.result)
 
     def connect(self, capability_headers=None, timeout: float = 30.0) -> WspSession:
         reply = self._round_trip(WspMessage(

@@ -16,10 +16,7 @@ Concatenation: a leading 0x00 marker followed by repeated
 (possible because a valid PDU's first byte is always >= 0x10).
 
 State machines (class 2): the initiator retransmits Invoke until it sees a
-standalone Ack or the Result; the Result is acknowledged with an Ack.  After
-a standalone Ack the initiator waits for the Result as long as the responder
-may retry it, ``(max_retrans + 1) * retry_interval_ms``, and then fails the
-transaction with ``TransactionTimeout``.  The
+standalone Ack or the Result; the Result is acknowledged with an Ack.  The
 responder delays its automatic Ack by ``ACK_DELAY_MS`` so a prompt Result
 acknowledges the Invoke implicitly, and retransmits the Result until the
 initiator's Ack arrives.  Class 1 completes on Ack; class 0 is
@@ -286,7 +283,7 @@ class TransactionHandle:
         self.result: bytes | None = None
         self.oob: bytes | None = None
         self.error: Exception | None = None
-        self.timer = None        # retry timer, then the wait for the Result
+        self.timer = None        # retry timer
         self.resend: WtpPdu | None = None  # rid-flagged Invoke to repeat
         self.retransmits = 0
         self.sent_at: float | None = None  # round-trip sample start
@@ -484,8 +481,8 @@ class WtpProvider:
     def _on_retry(self, txn, dst) -> None:
         with self._lock:
             # RealClock runs this outside the lock: the timer may have been
-            # stopped, or the Invoke acknowledged, after it fell due
-            if txn.timer is None or txn.resend is None:
+            # stopped after it fell due
+            if txn.timer is None:
                 return
             if txn.retransmits >= self.policy.max_retrans:
                 self._finish(txn, ABORTED, TransactionTimeout(
@@ -496,13 +493,6 @@ class WtpProvider:
             self._send(dst, txn.resend)
             txn.timer = self._clock.call_later(
                 self._retry_delay(txn, dst), self._on_retry, txn, dst)
-
-    def _on_result_wait(self, handle: TransactionHandle) -> None:
-        with self._lock:
-            if handle.timer is None:  # a Result or close() came first
-                return
-            self._finish(handle, ABORTED, TransactionTimeout(
-                f"tid {handle.tid}: no Result after the Ack"))
 
     def _finish(self, txn, state: str, error: Exception | None = None) -> None:
         """Stop ``txn``'s timer, complete it, and forget it after
@@ -660,20 +650,15 @@ class WtpProvider:
     def _on_initiator_pdu(self, handle: TransactionHandle | _Finished,
                           pdu: WtpPdu) -> None:
         if pdu.pdu_type == PDU_ACK:
-            if handle.state != INVOKE_SENT or handle.resend is None:
-                return  # finished, or a class-2 Invoke acknowledged already
+            if handle.state != INVOKE_SENT:
+                return
             self._sample(handle, handle.dst)
             if pdu.oob:
                 handle.oob = pdu.oob
             if handle.tclass == 1:
                 self._finish(handle, DONE)
-            else:  # now wait for the Result, as long as it may be retried
-                _stop(handle)
-                handle.resend = None
-                handle.timer = self._clock.call_later(
-                    self._seconds((self.policy.max_retrans + 1)
-                                  * self.policy.retry_interval_ms),
-                    self._on_result_wait, handle)
+            else:
+                _stop(handle)  # now wait for the Result
         elif pdu.pdu_type == PDU_RESULT:
             if handle.tclass != 2:
                 return

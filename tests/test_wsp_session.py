@@ -180,6 +180,36 @@ def test_failed_reply_send_is_logged(real_clock, caplog):
         server.close()
 
 
+def test_method_past_its_timeout_aborts_the_transaction(real_clock):
+    # The gateway acknowledges the Get but answers after the caller's
+    # timeout.  WTP alone would keep the handle pending after that Ack; the
+    # session aborts it, so its tid is freed and the gateway is told.
+    def slow(msg, ctx):
+        time.sleep(0.5)
+        return echo_handler(msg, ctx)
+
+    executor = ThreadPoolExecutor(max_workers=1)
+    net = SimNetwork(real_clock)
+    srv_provider = wtp.WtpProvider(WdpStack(net.endpoint("gw")).bind(9201),
+                                   real_clock)
+    server = wsp.WspServer(srv_provider, slow, real_clock, executor=executor)
+    cli_provider = wtp.WtpProvider(
+        WdpStack(net.endpoint("cli")).bind_ephemeral(), real_clock)
+    try:
+        session = wsp.WspClient(cli_provider, GW).connect(timeout=5.0)
+        with pytest.raises(wtp.TransactionTimeout):
+            session.get("/slow", timeout=0.3)
+        assert [h for h in cli_provider._initiator.values()
+                if h.state not in (wtp.DONE, wtp.ABORTED)] == []
+        executor.shutdown(wait=True)
+        assert sorted(inv.state for inv in srv_provider._responder.values()) \
+            == [wtp.ABORTED, wtp.DONE]
+    finally:
+        executor.shutdown(wait=True)
+        server.close()
+        cli_provider.close()
+
+
 def test_malformed_wsp_payload_gets_400(real_clock):
     rig = Rig(real_clock)
     handle = rig.cli_provider.invoke(GW, 2, b"\x7f junk")

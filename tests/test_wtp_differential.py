@@ -36,9 +36,9 @@ from wapstack.clock import VirtualClock
 from wapstack.wdp import WdpAddress, WdpStack
 
 SCENARIOS = 90
-EXPECTED = "cab88241aa99fd710d23512378db0a89fac6383fd72bc1c3425a67defeb68490"
+EXPECTED = "a50caa1f8bf6f3d385a3b4b2cd82c77ef7c57dc5e39c635decbf46924b41272b"
 EXPECTED_ADAPTIVE = (
-    "0460fefe2c70c29d12347e3102c973614a0d805b3c867b1b15fe9eefec561004")
+    "481afa7dccec965ff7a9793f19f9f912ebc195e22ab72ccfc80775bbf56d4d7c")
 
 SRV = WdpAddress("srv", 2000)
 CLIENTS = ("cli0", "cli1")

@@ -96,61 +96,22 @@ def test_class2_slow_responder_triggers_standalone_ack():
     assert handle.done and handle.result == b"late answer"
 
 
-def test_initiator_gives_up_when_every_result_after_the_ack_is_lost():
+def test_a_result_long_after_the_ack_still_completes():
+    # The application may answer long after the standalone Ack: a gateway
+    # waits up to http_timeout_ms (5 s) on its origin.  WTP must wait too.
     pair = Pair()
-    # slow enough that the responder sends a standalone Ack first
     pair.responder = lambda inv: pair.clock.call_later(
-        0.25, inv.respond, b"never arrives")
-    ack_at = []
-
-    def srv_script(dgram, index):
-        if index == 0:  # the standalone Ack, sent at 100 ms, in at 101 ms
-            ack_at.append(pair.clock.now() + 0.001)
-            return [1]
-        return []  # every Result is lost
-
-    pair.srv_bearer.set_delivery_script(srv_script)
+        3.6, inv.respond, b"slow origin")
     handle = pair.cli.invoke(SRV, 2, b"q")
-    ended = []
-    handle.add_done_callback(lambda h: ended.append(pair.clock.now()))
     pair.clock.run_until_idle(limit=60.0)
-    assert handle.state == wtp.ABORTED
-    with pytest.raises(wtp.TransactionTimeout, match="no Result"):
-        handle.wait(0)
-    # the wait outlasts the responder's Result retries:
-    # (max_retrans + 1) * retry_interval_ms = 9 * 300 ms after the Ack
-    assert ended == pytest.approx([ack_at[0] + 2.7])
-    assert pair.node_events("cli").count(("snd", "Invoke", True)) == 0
+    assert handle.state == wtp.DONE and handle.result == b"slow origin"
+    assert pair.node_events("srv") == [
+        ("rcv", "Invoke", False), ("snd", "Ack", False),
+        ("snd", "Result", False), ("rcv", "Ack", False)]
     assert pair.clock.pending() == 0
 
 
-def test_no_handle_is_left_pending_on_a_lossy_link():
-    # A seeded run at 30% loss each way.  The responder is slow enough to
-    # send standalone Acks, and never answers every tenth Invoke, as a hung
-    # application would; every handle must still end, and no timer be left.
-    lossy = [ImpairmentProfile(loss_prob=0.3, delay_ms=5, seed=s)
-             for s in (71, 72)]
-    pair = Pair(cli_profile=lossy[0], srv_profile=lossy[1])
-
-    def respond_late(inv):
-        if inv.payload[0] % 10:
-            pair.clock.call_later(0.15, inv.respond, b"R")
-
-    pair.responder = respond_late
-    handles = []
-    for n in range(200):
-        pair.clock.call_later(n * 0.02, lambda n=n: handles.append(
-            pair.cli.invoke(SRV, 2, bytes([n]))))
-    pair.clock.run_until_idle(limit=120.0)
-    assert len(handles) == 200
-    assert [h.tid for h in handles if not h.done] == []
-    assert pair.clock.pending() == 0
-    for n, handle in enumerate(handles):
-        if n % 10 == 0:
-            assert isinstance(handle.error, wtp.TransactionTimeout)
-
-
-def test_a_result_after_the_ack_stops_the_wait():
+def test_results_lost_after_the_ack_are_resent_until_one_arrives():
     pair = Pair()
     pair.responder = lambda inv: pair.clock.call_later(
         0.25, inv.respond, b"late answer")
