@@ -39,11 +39,16 @@ them, the least recently sampled evicted first.  The initiator samples from
 its Invoke to the first Ack or Result, the responder from its Result to the
 Ack; a PDU sent more than once gives no sample (Karn's rule).  The RTO is
 SRTT + 4 RTTVAR, at least ``MIN_RTO_MS`` on the responder; the initiator's
-also covers the responder's Ack hold, ``ACK_DELAY_MS`` + SRTT.  A record's
-first retry waits one RTO and each later one twice the last, but never more
-than ``retry_interval_ms``, which is also what a peer with no sample gets.
-So the whole schedule fits inside the fixed one it replaces, and a
-responder's linger still outlasts every retransmitted Invoke.
+also covers the responder's Ack hold, ``ACK_DELAY_MS`` + SRTT.  Every retry
+to a peer doubles its backoff, a multiplier on its RTO that the next sample
+resets (RFC 6298 5.5).  A record's retries wait the full backoff; its first
+send waits half of it, so one lost PDU does not slow the next transaction,
+while a round trip that grew past the RTO, which makes every transaction
+retry, still doubles it until a PDU sent once is answered and sampled.  No
+interval is longer than ``retry_interval_ms``, which is also what a peer
+with no sample gets.  So the whole schedule fits inside the fixed one
+it replaces, and a responder's linger still outlasts every retransmitted
+Invoke.
 
 Completed records linger for ``linger_ms`` so duplicate PDUs re-trigger
 retransmissions but never a second user indication.  Records finish in time
@@ -397,8 +402,9 @@ class WtpProvider:
         self._responder: dict[tuple, Invocation] = {}
         self._lingering: deque[tuple[float, dict, object]] = deque()
         self._linger_timer = None  # armed for the head of _lingering
-        # peer -> (SRTT, RTTVAR) in ms, least recently sampled first
-        self._rtt: dict[object, tuple[float, float]] = {}
+        # peer -> (SRTT, RTTVAR in ms, RTO backoff), least recently sampled
+        # first
+        self._rtt: dict[object, tuple[float, float, int]] = {}
         self.on_invoke: Callable[[Invocation], None] | None = None
         self.on_abort = None  # optional: fn(src, tid, reason)
         self.malformed_count = 0
@@ -428,25 +434,37 @@ class WtpProvider:
         return ms / 1000.0
 
     def _rto_ms(self, peer, initiator: bool) -> float:
-        """The first retry interval for a PDU to ``peer``: RFC 6298's
-        SRTT + 4 RTTVAR.  An initiator also waits out the responder's
-        ``ACK_DELAY_MS`` hold; a peer with no sample gets
-        ``retry_interval_ms``."""
+        """RFC 6298's SRTT + 4 RTTVAR for a PDU to ``peer``, before backoff.
+        An initiator also waits out the responder's ``ACK_DELAY_MS`` hold; a
+        peer with no sample gets ``retry_interval_ms``."""
         estimate = self._rtt.get(peer)
         if estimate is None:
             return self.policy.retry_interval_ms
-        srtt, rttvar = estimate
+        srtt, rttvar, _ = estimate
         if initiator:
             return max(srtt + 4 * rttvar, ACK_DELAY_MS + srtt)
         return max(srtt + 4 * rttvar, MIN_RTO_MS)
 
     def _retry_delay(self, txn, peer) -> float:
-        """Seconds until ``txn``'s next retry: the peer's RTO doubled per
-        retransmission so far, and never more than ``retry_interval_ms``,
-        so the whole schedule fits in the fixed one."""
+        """Seconds until ``txn``'s next retry: the peer's RTO times its
+        backoff, at most ``retry_interval_ms``; a PDU not yet resent waits
+        half the backoff (see the module docstring)."""
+        estimate = self._rtt.get(peer)
+        backoff = 1 if estimate is None else estimate[2]
+        if not txn.retransmits:
+            backoff = max(1, backoff // 2)
         rto = self._rto_ms(peer, isinstance(txn, TransactionHandle))
-        return self._seconds(min(rto * 2 ** txn.retransmits,
-                                 self.policy.retry_interval_ms))
+        return self._seconds(min(rto * backoff, self.policy.retry_interval_ms))
+
+    def _back_off(self, peer) -> None:
+        """Double ``peer``'s backoff after a retry (RFC 6298 5.5), until even
+        half of it takes every RTO past ``retry_interval_ms``; the next
+        sample resets it."""
+        estimate = self._rtt.get(peer)
+        if estimate is not None:
+            srtt, rttvar, backoff = estimate
+            if backoff * MIN_RTO_MS < 2 * self.policy.retry_interval_ms:
+                self._rtt[peer] = (srtt, rttvar, backoff * 2)
 
     def _sample(self, txn, peer) -> None:
         """Fold the time since ``txn``'s PDU was sent into ``peer``'s
@@ -460,11 +478,11 @@ class WtpProvider:
         if estimate is None:
             if len(self._rtt) >= MAX_PEERS:
                 del self._rtt[next(iter(self._rtt))]
-            self._rtt[peer] = (rtt, rtt / 2)
+            self._rtt[peer] = (rtt, rtt / 2, 1)
         else:
-            srtt, rttvar = estimate
+            srtt, rttvar, _ = estimate
             self._rtt[peer] = (0.875 * srtt + 0.125 * rtt,
-                               0.75 * rttvar + 0.25 * abs(srtt - rtt))
+                               0.75 * rttvar + 0.25 * abs(srtt - rtt), 1)
 
     def _transmit(self, txn, dst, pdu: WtpPdu) -> None:
         """Send ``pdu``, keep its rid-flagged copy on ``txn`` and resend that
@@ -490,6 +508,7 @@ class WtpProvider:
                 return
             txn.retransmits += 1
             txn.sent_at = None
+            self._back_off(dst)
             self._send(dst, txn.resend)
             txn.timer = self._clock.call_later(
                 self._retry_delay(txn, dst), self._on_retry, txn, dst)

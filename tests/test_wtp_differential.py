@@ -38,7 +38,7 @@ from wapstack.wdp import WdpAddress, WdpStack
 SCENARIOS = 90
 EXPECTED = "a50caa1f8bf6f3d385a3b4b2cd82c77ef7c57dc5e39c635decbf46924b41272b"
 EXPECTED_ADAPTIVE = (
-    "481afa7dccec965ff7a9793f19f9f912ebc195e22ab72ccfc80775bbf56d4d7c")
+    "4463f3ff309195d7bd7e4e76bb4aad4bb3168c10fad4507b7f38bf9b808b13bb")
 
 SRV = WdpAddress("srv", 2000)
 CLIENTS = ("cli0", "cli1")

@@ -483,14 +483,14 @@ def test_rtt_estimate_after_the_first_and_second_sample():
     pair.clock.advance(1.0)
     # Invoke at 0 -> Result at 4 ms -> back at 8 ms -> Ack in at 12 ms
     assert first.result == b"R"
-    assert pair.cli._rtt[SRV] == pytest.approx((8.0, 4.0))
-    assert pair.srv._rtt[CLI] == pytest.approx((8.0, 4.0))
+    assert pair.cli._rtt[SRV] == pytest.approx((8.0, 4.0, 1))
+    assert pair.srv._rtt[CLI] == pytest.approx((8.0, 4.0, 1))
     second = pair.cli.invoke(SRV, 2, b"2")
     pair.clock.advance(1.0)
     # both ends sample 16 ms: RTTVAR = 3 + 2 = 5, SRTT = 7 + 2 = 9
     assert second.result == b"R"
-    assert pair.cli._rtt[SRV] == pytest.approx((9.0, 5.0))
-    assert pair.srv._rtt[CLI] == pytest.approx((9.0, 5.0))
+    assert pair.cli._rtt[SRV] == pytest.approx((9.0, 5.0, 1))
+    assert pair.srv._rtt[CLI] == pytest.approx((9.0, 5.0, 1))
     # RTO: the initiator's max(9 + 4*5, 100 + 9); the responder's 9 + 4*5,
     # at least MIN_RTO_MS
     assert pair.cli._rto_ms(SRV, True) == pytest.approx(109.0)
@@ -546,12 +546,15 @@ def test_retry_intervals_double_and_stop_at_retry_interval_ms():
     pair.cli.invoke(SRV, 2, b"sample")
     pair.clock.advance(1.0)
     # one 2 ms sample: SRTT 2, RTTVAR 1, RTO max(2 + 4, 100 + 2) = 102 ms
-    assert pair.cli._rtt[SRV] == pytest.approx((2.0, 1.0))
+    assert pair.cli._rtt[SRV] == pytest.approx((2.0, 1.0, 1))
     handle = pair.cli.invoke(SRV, 2, b"lost")
     pair.clock.run_until_idle(limit=10.0)
     gaps = [b - a for a, b in zip(sends, sends[1:])]
-    # 102, 204, then capped at 300 for the other six of max_retrans = 8
+    # 102, 204, then capped at 300 for the other six of max_retrans = 8;
+    # the peer's backoff stops doubling at 16, where half of it takes even
+    # MIN_RTO_MS past the cap
     assert gaps == pytest.approx([0.102, 0.204] + [0.3] * 6)
+    assert pair.cli._rtt[SRV] == pytest.approx((2.0, 1.0, 16))
     assert handle.state == wtp.ABORTED
     with pytest.raises(wtp.TransactionTimeout):
         handle.wait(0)
@@ -566,7 +569,7 @@ def test_converged_initiator_waits_out_the_ack_delay():
         pair.cli.invoke(SRV, 2, bytes([n]))
         pair.clock.advance(0.01)
     # every sample is 1 ms: SRTT stays 1, RTTVAR = 0.5 * 0.75**39
-    srtt, rttvar = pair.cli._rtt[SRV]
+    srtt, rttvar, _ = pair.cli._rtt[SRV]
     assert srtt == pytest.approx(1.0) and rttvar < 1e-4
     # a responder that answers at 90 ms: its Result is back at 91 ms, inside
     # the initiator's RTO of max(1 + 4 RTTVAR, 100 + 1) = 101 ms
@@ -576,6 +579,36 @@ def test_converged_initiator_waits_out_the_ack_delay():
     pair.clock.advance(0.5)
     assert handle.result == b"slow"
     assert ("snd", "Invoke", True) not in pair.node_events("cli")
+
+
+def test_backoff_relearns_a_round_trip_that_grows():
+    # Converge at a 1 ms round trip, then make it 200 ms.  Both ends'
+    # converged RTOs (101 and 50 ms) are now short, so every transaction
+    # resends its Invoke and its Result and gives no sample.  The backoff
+    # is kept across transactions until one gives a sample, so the estimate
+    # learns the new round trip and the resends stop.
+    pair = Pair()
+    pair.responder = lambda inv: inv.respond(b"R")
+    one_way_ms = [0.5]
+    for bearer in (pair.cli_bearer, pair.srv_bearer):
+        bearer.set_delivery_script(lambda dgram, index: [one_way_ms[0]])
+    for n in range(40):
+        pair.cli.invoke(SRV, 2, bytes([n]))
+        pair.clock.advance(0.01)
+    assert pair.cli._rtt[SRV][0] == pytest.approx(1.0)
+    one_way_ms[0] = 100
+    resent = []
+    for n in range(10):
+        before = len(pair.events)
+        handle = pair.cli.invoke(SRV, 2, bytes([n]))
+        pair.clock.advance(1.0)
+        assert handle.result == b"R"
+        resent.append(sum(1 for node, direction, _, rid in pair.events[before:]
+                          if direction == "snd" and rid))
+    assert resent[0] > 0
+    assert resent[3:] == [0] * 7, resent
+    assert pair.cli._rtt[SRV][0] > 50 and pair.srv._rtt[CLI][0] > 50
+    assert len(pair.indications) == 50  # and no duplicate indication
 
 
 def test_measured_round_trip_cuts_the_lossy_tail():
