@@ -433,28 +433,27 @@ class WtpProvider:
     def _seconds(self, ms: int) -> float:
         return ms / 1000.0
 
-    def _rto_ms(self, peer, initiator: bool) -> float:
-        """RFC 6298's SRTT + 4 RTTVAR for a PDU to ``peer``, before backoff.
-        An initiator also waits out the responder's ``ACK_DELAY_MS`` hold; a
-        peer with no sample gets ``retry_interval_ms``."""
+    def _retry_delay(self, txn, peer) -> float:
+        """Seconds until ``txn``'s next retry: RFC 6298's SRTT + 4 RTTVAR
+        for ``peer`` times its backoff, at most ``retry_interval_ms``.  An
+        initiator also waits out the responder's ``ACK_DELAY_MS`` hold; a
+        PDU not yet resent waits half the backoff (see the module
+        docstring); a peer with no sample gets ``retry_interval_ms``.  Runs
+        for every Invoke and Result, so it avoids helper calls."""
+        cap = self.policy.retry_interval_ms
         estimate = self._rtt.get(peer)
         if estimate is None:
-            return self.policy.retry_interval_ms
-        srtt, rttvar, _ = estimate
-        if initiator:
-            return max(srtt + 4 * rttvar, ACK_DELAY_MS + srtt)
-        return max(srtt + 4 * rttvar, MIN_RTO_MS)
-
-    def _retry_delay(self, txn, peer) -> float:
-        """Seconds until ``txn``'s next retry: the peer's RTO times its
-        backoff, at most ``retry_interval_ms``; a PDU not yet resent waits
-        half the backoff (see the module docstring)."""
-        estimate = self._rtt.get(peer)
-        backoff = 1 if estimate is None else estimate[2]
+            return cap / 1000.0
+        srtt, rttvar, backoff = estimate
+        rto = srtt + 4 * rttvar
+        floor = (ACK_DELAY_MS + srtt if isinstance(txn, TransactionHandle)
+                 else MIN_RTO_MS)
+        if rto < floor:
+            rto = floor
         if not txn.retransmits:
-            backoff = max(1, backoff // 2)
-        rto = self._rto_ms(peer, isinstance(txn, TransactionHandle))
-        return self._seconds(min(rto * backoff, self.policy.retry_interval_ms))
+            backoff = backoff // 2 or 1
+        rto *= backoff
+        return (rto if rto < cap else cap) / 1000.0
 
     def _back_off(self, peer) -> None:
         """Double ``peer``'s backoff after a retry (RFC 6298 5.5), until even

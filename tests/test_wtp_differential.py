@@ -18,8 +18,8 @@ protocol's behaviour must keep it; a deliberate behaviour change updates
 the digests and says why.
 
 Two digests are pinned.  ``EXPECTED`` is the reference: every retry
-interval is pinned to ``retry_interval_ms`` (``WtpProvider._rto_ms`` is
-patched), as before round-trip estimation, so it shows that the estimator
+interval is pinned to ``retry_interval_ms`` (``WtpProvider._retry_delay``
+is patched), as before round-trip estimation, so it shows that the estimator
 changes nothing but timing.  ``EXPECTED_ADAPTIVE`` is the provider as it
 ships, with per-peer round-trip estimates.  ``python
 tests/test_wtp_differential.py`` (with ``src`` on ``PYTHONPATH``) prints
@@ -184,14 +184,14 @@ def run_scenarios(count: int = SCENARIOS) -> str:
     return digest.hexdigest()
 
 
-def _fixed_rto(provider, peer, initiator):
-    return provider.policy.retry_interval_ms
+def _fixed_delay(provider, txn, peer):
+    return provider.policy.retry_interval_ms / 1000.0
 
 
 def reference_digest(count: int = SCENARIOS) -> str:
     """The digest with every retry interval pinned to
     ``retry_interval_ms``."""
-    with mock.patch.object(wtp.WtpProvider, "_rto_ms", _fixed_rto):
+    with mock.patch.object(wtp.WtpProvider, "_retry_delay", _fixed_delay):
         return run_scenarios(count)
 
 

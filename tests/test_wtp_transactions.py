@@ -493,8 +493,9 @@ def test_rtt_estimate_after_the_first_and_second_sample():
     assert pair.srv._rtt[CLI] == pytest.approx((9.0, 5.0, 1))
     # RTO: the initiator's max(9 + 4*5, 100 + 9); the responder's 9 + 4*5,
     # at least MIN_RTO_MS
-    assert pair.cli._rto_ms(SRV, True) == pytest.approx(109.0)
-    assert pair.srv._rto_ms(CLI, False) == pytest.approx(wtp.MIN_RTO_MS)
+    assert pair.cli._retry_delay(second, SRV) == pytest.approx(0.109)
+    assert pair.srv._retry_delay(pair.indications[-1], CLI) == \
+        pytest.approx(wtp.MIN_RTO_MS / 1000)
 
 
 @pytest.mark.parametrize("cli_script, srv_script, sampled_by", [
