@@ -18,8 +18,10 @@ Concatenation: a leading 0x00 marker followed by repeated
 State machines (class 2): the initiator retransmits Invoke until it sees a
 standalone Ack or the Result; the Result is acknowledged with an Ack.  The
 responder delays its automatic Ack by ``ACK_DELAY_MS`` so a prompt Result
-acknowledges the Invoke implicitly, and retransmits the Result until the
-initiator's Ack arrives.  Class 1 completes on Ack; class 0 is
+acknowledges the Invoke implicitly, but a resent Invoke (rid set) that
+arrives during that hold is answered with the Ack at once, the hold-on Ack,
+and none follows when the hold ends.  The responder retransmits the Result
+until the initiator's Ack arrives.  Class 1 completes on Ack; class 0 is
 fire-and-forget.  When ``uak`` is set the provider never auto-acknowledges:
 the receiving user must call ``Invocation.ack`` (optionally with out-of-band
 bytes, which ride the Ack back to the initiator).
@@ -28,8 +30,11 @@ Each end keeps one record per transaction: the initiator's is the
 ``TransactionHandle`` returned by ``invoke``, the responder's is the
 ``Invocation`` passed to ``on_invoke``.  Both ends share one retry path: the
 Invoke or Result is sent, its rid-flagged copy is kept on the record and
-resent after each retry interval until the record's timer is stopped or
-``max_retrans`` is spent, which aborts the transaction.  A duplicate Invoke
+resent after each retry interval until the record's timer is stopped or a
+retry falls due (``max_retrans`` + 1) x ``retry_interval_ms`` or more after
+the first send, which aborts the transaction.  That deadline does not
+depend on the intervals, so a peer with short measured ones gives up when a
+peer on the fixed schedule does.  A duplicate Invoke
 gets that stored Result again until the transaction finishes; a finished
 record keeps no PDU.
 
@@ -38,16 +43,19 @@ keeps one SRTT/RTTVAR estimate per peer address, at most ``MAX_PEERS`` of
 them, the least recently sampled evicted first.  The initiator samples from
 its Invoke to the first Ack or Result, the responder from its Result to the
 Ack; a PDU sent more than once gives no sample (Karn's rule).  The RTO is
-SRTT + 4 RTTVAR, at least ``MIN_RTO_MS`` on the responder; the initiator's
-also covers the responder's Ack hold, ``ACK_DELAY_MS`` + SRTT.  Every retry
+SRTT + 4 RTTVAR, at least ``MIN_RTO_MS`` on the responder and
+``MIN_RTO_MS`` + SRTT on the initiator.  A lost Invoke is so resent after
+about one round trip, without waiting out the responder's Ack hold, which
+answers the resent copy; a lost Result is resent by the responder first, so
+both ends do not resend at once.  Every retry
 to a peer doubles its backoff, a multiplier on its RTO that the next sample
 resets (RFC 6298 5.5).  A record's retries wait the full backoff; its first
 send waits half of it, so one lost PDU does not slow the next transaction,
 while a round trip that grew past the RTO, which makes every transaction
 retry, still doubles it until a PDU sent once is answered and sampled.  No
 interval is longer than ``retry_interval_ms``, which is also what a peer
-with no sample gets.  So the whole schedule fits inside the fixed one
-it replaces, and a responder's linger still outlasts every retransmitted
+with no sample gets.  So the whole schedule fits inside the fixed one's
+deadline, and a responder's linger still outlasts every retransmitted
 Invoke.
 
 Completed records linger for ``linger_ms`` so duplicate PDUs re-trigger
@@ -91,7 +99,8 @@ ABORTED = "ABORTED"
 ABORT_USER = 0x01
 
 ACK_DELAY_MS = 100  # the responder's hold on its automatic Ack (see above)
-MIN_RTO_MS = 50     # the responder's floor on a measured retry interval
+MIN_RTO_MS = 50     # the floor on a measured retry interval (plus SRTT on
+                    # an initiator)
 MAX_PEERS = 1024    # round-trip estimates kept; the least recently sampled go
 
 
@@ -239,6 +248,9 @@ class RetransmissionPolicy:
     # the first retry interval to a peer with no round-trip sample yet, and
     # the longest interval to any peer
     retry_interval_ms: int = 300
+    # a record gives up at its first retry due (max_retrans + 1) x
+    # retry_interval_ms or more after its first send: after max_retrans
+    # resends on the fixed schedule, more on a measured one
     max_retrans: int = 8
     linger_ms: int = 3000  # how long completed state answers duplicates
 
@@ -277,7 +289,8 @@ class TransactionHandle:
     """
 
     __slots__ = ("tid", "tclass", "dst", "state", "result", "oob", "error",
-                 "timer", "resend", "retransmits", "sent_at", "_provider",
+                 "timer", "resend", "retransmits", "sent_at", "first_sent",
+                 "_provider",
                  "_event", "_callbacks", "__weakref__")
 
     def __init__(self, provider: "WtpProvider", tid: int, tclass: int, dst):
@@ -292,6 +305,7 @@ class TransactionHandle:
         self.resend: WtpPdu | None = None  # rid-flagged Invoke to repeat
         self.retransmits = 0
         self.sent_at: float | None = None  # round-trip sample start
+        self.first_sent = 0.0  # when the give-up deadline started
         self._provider = provider
         self._event: threading.Event | None = None
         self._callbacks: list[Callable[["TransactionHandle"], None]] = []
@@ -351,7 +365,7 @@ class Invocation:
     the provider's record of that transaction while it runs and lingers."""
 
     __slots__ = ("_provider", "src", "tid", "tclass", "payload", "uak", "state",
-                 "timer", "resend", "retransmits", "sent_at",
+                 "timer", "resend", "retransmits", "sent_at", "first_sent",
                  "acked_standalone", "last_oob")
 
     def __init__(self, provider: "WtpProvider", src, tid: int, tclass: int,
@@ -367,6 +381,7 @@ class Invocation:
         self.resend: WtpPdu | None = None  # rid-flagged Result to repeat
         self.retransmits = 0
         self.sent_at: float | None = None  # round-trip sample start
+        self.first_sent = 0.0  # when the give-up deadline started
         self.acked_standalone = False
         self.last_oob = b""
 
@@ -435,18 +450,19 @@ class WtpProvider:
 
     def _retry_delay(self, txn, peer) -> float:
         """Seconds until ``txn``'s next retry: RFC 6298's SRTT + 4 RTTVAR
-        for ``peer`` times its backoff, at most ``retry_interval_ms``.  An
-        initiator also waits out the responder's ``ACK_DELAY_MS`` hold; a
-        PDU not yet resent waits half the backoff (see the module
-        docstring); a peer with no sample gets ``retry_interval_ms``.  Runs
-        for every Invoke and Result, so it avoids helper calls."""
+        for ``peer`` times its backoff, at most ``retry_interval_ms``.  The
+        floor is ``MIN_RTO_MS``, plus SRTT on an initiator, so that the
+        responder's retry of a lost Result fires first; a PDU not yet resent
+        waits half the backoff (see the module docstring); a peer with no
+        sample gets ``retry_interval_ms``.  Runs for every Invoke and
+        Result, so it avoids helper calls."""
         cap = self.policy.retry_interval_ms
         estimate = self._rtt.get(peer)
         if estimate is None:
             return cap / 1000.0
         srtt, rttvar, backoff = estimate
         rto = srtt + 4 * rttvar
-        floor = (ACK_DELAY_MS + srtt if isinstance(txn, TransactionHandle)
+        floor = (MIN_RTO_MS + srtt if isinstance(txn, TransactionHandle)
                  else MIN_RTO_MS)
         if rto < floor:
             rto = floor
@@ -485,11 +501,13 @@ class WtpProvider:
 
     def _transmit(self, txn, dst, pdu: WtpPdu) -> None:
         """Send ``pdu``, keep its rid-flagged copy on ``txn`` and resend that
-        after each retry delay until ``txn``'s timer is stopped or
-        ``max_retrans`` is spent, which aborts ``txn``."""
+        after each retry delay until ``txn``'s timer is stopped or, at a
+        retry, (``max_retrans`` + 1) x ``retry_interval_ms`` have passed
+        since this first send, which aborts ``txn``."""
         self._send(dst, pdu)
+        txn.first_sent = self._clock.now()
         if not pdu.uak:  # a user acknowledgement would time the user
-            txn.sent_at = self._clock.now()
+            txn.sent_at = txn.first_sent
         pdu.rid = True  # the trace event above has the first-send flag
         txn.resend = pdu
         txn.timer = self._clock.call_later(
@@ -501,7 +519,11 @@ class WtpProvider:
             # stopped after it fell due
             if txn.timer is None:
                 return
-            if txn.retransmits >= self.policy.max_retrans:
+            # in whole milliseconds, so float rounding cannot move the
+            # fixed schedule's last firing past the deadline
+            policy = self.policy
+            if round((self._clock.now() - txn.first_sent) * 1000) >= (
+                    policy.max_retrans + 1) * policy.retry_interval_ms:
                 self._finish(txn, ABORTED, TransactionTimeout(
                     f"tid {txn.tid}: {txn.retransmits} retransmissions exhausted"))
                 return
@@ -696,7 +718,7 @@ class WtpProvider:
         key = (src, pdu.tid)
         txn = self._responder.get(key)
         if txn is not None:
-            self._on_duplicate_invoke(txn)
+            self._on_duplicate_invoke(txn, pdu.rid)
             return
         txn = Invocation(self, src, pdu.tid, pdu.tclass, pdu.payload, pdu.uak)
         self._responder[key] = txn
@@ -714,7 +736,7 @@ class WtpProvider:
         if self.on_invoke is not None:
             self.on_invoke(txn)
 
-    def _on_duplicate_invoke(self, txn: Invocation) -> None:
+    def _on_duplicate_invoke(self, txn: Invocation, rid: bool) -> None:
         # never a second indication; re-trigger whatever answer we last gave
         if txn.state == RESULT_SENT:
             txn.sent_at = None
@@ -722,6 +744,12 @@ class WtpProvider:
         elif txn.acked_standalone and txn.state in (INVOKE_RCVD, DONE):
             self._send(txn.src, WtpPdu(PDU_ACK, txn.tid, rid=True,
                                        oob=txn.last_oob))
+        elif rid and txn.state == INVOKE_RCVD:
+            # the initiator's retry ran out during our Ack hold (class 2, no
+            # uak): the hold-on Ack goes now, and none at the hold's end
+            _stop(txn)
+            txn.acked_standalone = True
+            self._send(txn.src, WtpPdu(PDU_ACK, txn.tid, rid=True))
 
     def _on_responder_pdu(self, txn: Invocation, pdu: WtpPdu) -> None:
         if pdu.pdu_type == PDU_ACK:

@@ -19,15 +19,19 @@ the digests and says why.
 
 Two digests are pinned.  ``EXPECTED`` is the reference: every retry
 interval is pinned to ``retry_interval_ms`` (``WtpProvider._retry_delay``
-is patched), as before round-trip estimation, so it shows that the estimator
-changes nothing but timing.  ``EXPECTED_ADAPTIVE`` is the provider as it
+is patched), as before round-trip estimation, so it shows whether a change
+moves outcomes or only timing.  ``EXPECTED_ADAPTIVE`` is the provider as it
 ships, with per-peer round-trip estimates.  ``python
 tests/test_wtp_differential.py`` (with ``src`` on ``PYTHONPATH``) prints
-both.
+both; with ``--scenarios`` it prints one short digest per scenario for each
+run, then each run's handle outcomes, so the output of two trees can be
+diffed to name the scenarios that moved.
 """
 
 import hashlib
 import random
+import sys
+from collections import Counter
 from unittest import mock
 
 from wapstack import wdp, wtp
@@ -36,9 +40,9 @@ from wapstack.clock import VirtualClock
 from wapstack.wdp import WdpAddress, WdpStack
 
 SCENARIOS = 90
-EXPECTED = "a50caa1f8bf6f3d385a3b4b2cd82c77ef7c57dc5e39c635decbf46924b41272b"
+EXPECTED = "fdc015197631163abe11b05fd04321e4cbe00bec1ba78143932700f905d0705f"
 EXPECTED_ADAPTIVE = (
-    "4463f3ff309195d7bd7e4e76bb4aad4bb3168c10fad4507b7f38bf9b808b13bb")
+    "a1921fc0078072af590abfffef48f52926894bd55dc4f5718f5bc934340a951a")
 
 SRV = WdpAddress("srv", 2000)
 CLIENTS = ("cli0", "cli1")
@@ -174,13 +178,17 @@ class Scenario:
         self.log.append(("pending", self.clock.pending()))
 
 
-def run_scenarios(count: int = SCENARIOS) -> str:
+def run_scenarios(count: int = SCENARIOS, each=None) -> str:
+    """The digest over every scenario's log; ``each(seed, log_bytes,
+    scenario)`` is called after each scenario if given."""
     digest = hashlib.sha256()
     for seed in range(count):
         scenario = Scenario(seed)
         scenario.run()
-        for entry in scenario.log:
-            digest.update(repr(entry).encode() + b"\n")
+        log = b"".join(repr(entry).encode() + b"\n" for entry in scenario.log)
+        digest.update(log)
+        if each is not None:
+            each(seed, log, scenario)
     return digest.hexdigest()
 
 
@@ -188,11 +196,11 @@ def _fixed_delay(provider, txn, peer):
     return provider.policy.retry_interval_ms / 1000.0
 
 
-def reference_digest(count: int = SCENARIOS) -> str:
+def reference_digest(count: int = SCENARIOS, each=None) -> str:
     """The digest with every retry interval pinned to
     ``retry_interval_ms``."""
     with mock.patch.object(wtp.WtpProvider, "_retry_delay", _fixed_delay):
-        return run_scenarios(count)
+        return run_scenarios(count, each)
 
 
 def test_wtp_differential_digest_is_pinned():
@@ -203,6 +211,29 @@ def test_wtp_differential_adaptive_digest_is_pinned():
     assert run_scenarios() == EXPECTED_ADAPTIVE
 
 
+def _per_scenario(run) -> tuple[list[str], Counter]:
+    """Run ``run`` and return a 12-digit digest per scenario and a count of
+    how its handles ended: a state, or the error's type."""
+    digests, outcomes = [], Counter()
+
+    def each(seed, log, scenario):
+        digests.append(hashlib.sha256(log).hexdigest()[:12])
+        outcomes.update(type(h.error).__name__ if h.error else h.state
+                        for _, h in scenario.handles)
+    run(each=each)
+    return digests, outcomes
+
+
 if __name__ == "__main__":
-    print("reference", reference_digest())
-    print("adaptive ", run_scenarios())
+    if "--scenarios" in sys.argv[1:]:
+        reference, ref_outcomes = _per_scenario(reference_digest)
+        adaptive, outcomes = _per_scenario(run_scenarios)
+        for seed, pair in enumerate(zip(reference, adaptive)):
+            print(f"scenario {seed:2d} reference {pair[0]} adaptive {pair[1]}")
+        for name, counts in (("reference", ref_outcomes),
+                             ("adaptive ", outcomes)):
+            print("outcomes", name, " ".join(
+                f"{key} {n}" for key, n in sorted(counts.items())))
+    else:
+        print("reference", reference_digest())
+        print("adaptive ", run_scenarios())

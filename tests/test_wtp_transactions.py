@@ -491,9 +491,9 @@ def test_rtt_estimate_after_the_first_and_second_sample():
     assert second.result == b"R"
     assert pair.cli._rtt[SRV] == pytest.approx((9.0, 5.0, 1))
     assert pair.srv._rtt[CLI] == pytest.approx((9.0, 5.0, 1))
-    # RTO: the initiator's max(9 + 4*5, 100 + 9); the responder's 9 + 4*5,
-    # at least MIN_RTO_MS
-    assert pair.cli._retry_delay(second, SRV) == pytest.approx(0.109)
+    # RTO: the initiator's max(9 + 4*5, MIN_RTO_MS + 9); the responder's
+    # 9 + 4*5, at least MIN_RTO_MS
+    assert pair.cli._retry_delay(second, SRV) == pytest.approx(0.059)
     assert pair.srv._retry_delay(pair.indications[-1], CLI) == \
         pytest.approx(wtp.MIN_RTO_MS / 1000)
 
@@ -546,22 +546,25 @@ def test_retry_intervals_double_and_stop_at_retry_interval_ms():
     pair.srv_bearer.set_delivery_script(lambda dgram, index: [1])
     pair.cli.invoke(SRV, 2, b"sample")
     pair.clock.advance(1.0)
-    # one 2 ms sample: SRTT 2, RTTVAR 1, RTO max(2 + 4, 100 + 2) = 102 ms
+    # one 2 ms sample: SRTT 2, RTTVAR 1, RTO max(2 + 4, MIN_RTO_MS + 2) = 52
     assert pair.cli._rtt[SRV] == pytest.approx((2.0, 1.0, 1))
     handle = pair.cli.invoke(SRV, 2, b"lost")
     pair.clock.run_until_idle(limit=10.0)
     gaps = [b - a for a, b in zip(sends, sends[1:])]
-    # 102, 204, then capped at 300 for the other six of max_retrans = 8;
-    # the peer's backoff stops doubling at 16, where half of it takes even
-    # MIN_RTO_MS past the cap
-    assert gaps == pytest.approx([0.102, 0.204] + [0.3] * 6)
+    # 52, 104, 208, then capped at 300 until the retry due at 2764 ms, past
+    # the (max_retrans + 1) x 300 = 2700 ms deadline, gives up; the peer's
+    # backoff stops doubling at 16, where half of it takes even MIN_RTO_MS
+    # past the cap
+    assert gaps == pytest.approx([0.052, 0.104, 0.208] + [0.3] * 7)
     assert pair.cli._rtt[SRV] == pytest.approx((2.0, 1.0, 16))
     assert handle.state == wtp.ABORTED
     with pytest.raises(wtp.TransactionTimeout):
         handle.wait(0)
 
 
-def test_converged_initiator_waits_out_the_ack_delay():
+def _converged_pair():
+    """A Pair whose ends have both sampled 40 round trips of 1 ms: SRTT 1,
+    RTTVAR = 0.5 * 0.75**39, backoff 1."""
     pair = Pair()
     pair.responder = lambda inv: inv.respond(b"prompt")
     for bearer in (pair.cli_bearer, pair.srv_bearer):
@@ -569,17 +572,120 @@ def test_converged_initiator_waits_out_the_ack_delay():
     for n in range(40):
         pair.cli.invoke(SRV, 2, bytes([n]))
         pair.clock.advance(0.01)
-    # every sample is 1 ms: SRTT stays 1, RTTVAR = 0.5 * 0.75**39
-    srtt, rttvar, _ = pair.cli._rtt[SRV]
-    assert srtt == pytest.approx(1.0) and rttvar < 1e-4
-    # a responder that answers at 90 ms: its Result is back at 91 ms, inside
-    # the initiator's RTO of max(1 + 4 RTTVAR, 100 + 1) = 101 ms
+    srtt, rttvar, backoff = pair.cli._rtt[SRV]
+    assert srtt == pytest.approx(1.0) and rttvar < 1e-4 and backoff == 1
+    assert pair.srv._rtt[CLI][0] == pytest.approx(1.0)
+    pair.events.clear()
+    return pair
+
+
+def test_converged_initiator_resends_a_lost_invoke_after_min_rto_plus_srtt():
+    pair = _converged_pair()
+    sends = []
+
+    def cli_script(dgram, index):
+        sends.append(pair.clock.now())
+        return [] if len(sends) == 1 else [0.5]  # the first Invoke is lost
+
+    pair.cli_bearer.set_delivery_script(cli_script)
+    started = pair.clock.now()
+    handle = pair.cli.invoke(SRV, 2, b"q")
+    pair.clock.advance(0.5)
+    assert handle.result == b"prompt"
+    # RTO max(1 + 4 RTTVAR, MIN_RTO_MS + SRTT) = 51 ms
+    assert sends[1] - started == pytest.approx((wtp.MIN_RTO_MS + 1) / 1000)
+
+
+def test_a_responder_answering_at_90_ms_costs_one_resent_invoke_and_one_ack():
+    # The initiator's RTO of 51 ms runs out inside the responder's 100 ms
+    # Ack hold.  The resent Invoke gets the Ack at once, which stops the
+    # retries; the Result follows when the application answers.
+    pair = _converged_pair()
     pair.responder = lambda inv: pair.clock.call_later(0.09, inv.respond,
                                                        b"slow")
     handle = pair.cli.invoke(SRV, 2, b"q")
     pair.clock.advance(0.5)
     assert handle.result == b"slow"
-    assert ("snd", "Invoke", True) not in pair.node_events("cli")
+    assert pair.node_events("cli") == [
+        ("snd", "Invoke", False), ("snd", "Invoke", True),
+        ("rcv", "Ack", True), ("rcv", "Result", False), ("snd", "Ack", False)]
+    assert len(pair.indications) == 41
+
+
+def test_a_resent_invoke_during_the_ack_hold_gets_one_ack_at_once():
+    # 1 ms each way and a 30 ms retry interval to a new peer: the resent
+    # Invoke reaches the responder at 31 ms, inside its 100 ms Ack hold.
+    pair = Pair(cli_policy=wtp.RetransmissionPolicy(retry_interval_ms=30))
+    for bearer in (pair.cli_bearer, pair.srv_bearer):
+        bearer.set_delivery_script(lambda dgram, index: [1])
+    acks = []
+    pair.srv_bearer.set_delivery_script(
+        lambda dgram, index: acks.append(pair.clock.now()) or [1])
+    pair.responder = lambda inv: pair.clock.call_later(0.3, inv.respond,
+                                                       b"late")
+    handle = pair.cli.invoke(SRV, 2, b"q")
+    pair.clock.advance(0.2)  # past the end of the hold, at 101 ms
+    assert acks == [pytest.approx(0.031)]
+    assert pair.node_events("srv") == [
+        ("rcv", "Invoke", False), ("rcv", "Invoke", True),
+        ("snd", "Ack", True)]
+    assert pair.node_events("cli").count(("snd", "Invoke", True)) == 1
+    pair.clock.run_until_idle(limit=10.0)
+    assert handle.result == b"late"
+    assert len(pair.indications) == 1
+    assert pair.node_events("srv")[3:] == [
+        ("snd", "Result", False), ("rcv", "Ack", False)]
+
+
+@pytest.mark.parametrize("tclass, uak", [(1, True), (2, True), (1, False)],
+                         ids=["class1-uak", "class2-uak", "class1"])
+def test_no_hold_on_ack_for_user_acked_or_class1_invokes(tclass, uak):
+    # A uak transaction is acknowledged by its user only (here at 60 ms),
+    # even when a resent Invoke reaches the responder first, at 31 ms.  A
+    # class-1 one is acknowledged on arrival, so no Ack is held.
+    pair = Pair(cli_policy=wtp.RetransmissionPolicy(retry_interval_ms=30))
+    for bearer in (pair.cli_bearer, pair.srv_bearer):
+        bearer.set_delivery_script(lambda dgram, index: [1])
+    if uak:
+        pair.responder = lambda inv: pair.clock.call_later(0.059, inv.ack)
+    handle = pair.cli.invoke(SRV, tclass, b"q", uak=uak)
+    pair.clock.advance(0.058)
+    srv = pair.node_events("srv")
+    if uak:
+        assert srv == [("rcv", "Invoke", False), ("rcv", "Invoke", True)]
+        pair.clock.advance(0.002)
+        assert pair.node_events("srv")[2:] == [("snd", "Ack", False)]
+    else:
+        assert srv == [("rcv", "Invoke", False), ("snd", "Ack", False)]
+    assert len(pair.indications) == 1
+    if tclass == 1:
+        pair.clock.advance(0.01)
+        assert handle.state == wtp.DONE
+
+
+@pytest.mark.parametrize("end", ["initiator", "responder"])
+def test_a_converged_peer_gives_up_at_the_fixed_schedules_deadline(end):
+    # Short first intervals must not make a converged peer give up sooner:
+    # both ends give up (max_retrans + 1) x retry_interval_ms = 2.7 s after
+    # the first send, as with the fixed schedule, and no later than one
+    # interval after that.
+    pair = _converged_pair()
+    if end == "initiator":  # every Invoke is lost
+        pair.cli_bearer.set_delivery_script(lambda dgram, index: [])
+    else:  # the Invoke arrives; every Ack is lost
+        sent = []
+
+        def cli_script(dgram, index):
+            sent.append(dgram)
+            return [0.5] if len(sent) == 1 else []
+        pair.cli_bearer.set_delivery_script(cli_script)
+    handle = pair.cli.invoke(SRV, 2, b"q")
+    pair.clock.advance(0.001)
+    record = handle if end == "initiator" else pair.indications[-1]
+    pair.clock.advance(2.699 - 0.001)
+    assert record.state in (wtp.INVOKE_SENT, wtp.RESULT_SENT)
+    pair.clock.advance(0.3)
+    assert record.state == wtp.ABORTED
 
 
 def test_backoff_relearns_a_round_trip_that_grows():
