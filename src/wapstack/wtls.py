@@ -56,6 +56,7 @@ ALERT_AUTH_FAILURE = 0x01
 ALERT_SUITE_MISMATCH = 0x02
 
 NONCE_LEN = 16
+MAX_HALF_OPEN = 1024  # server peers with no session yet; the oldest go first
 
 
 class WtlsError(Exception):
@@ -517,7 +518,9 @@ class WtlsServerTransport(_RecordTransport):
         super().__init__(endpoint)
         self._psk_table = psk_table
         self._allowed = tuple(allowed_suites)
+        self._half_open: dict[WdpAddress, None] = {}  # oldest hello first
         self.handshake_failures = 0
+        self.half_open_evictions = 0
 
     def session_count(self) -> int:
         with self._lock:
@@ -542,6 +545,13 @@ class WtlsServerTransport(_RecordTransport):
                 # no peer state is kept, so the alert record is seq 0
                 self._send_plain(src, _Peer(), CONTENT_ALERT, bytes([alert]))
                 return
+            self._half_open.pop(src, None)
+            if len(self._half_open) >= MAX_HALF_OPEN:
+                oldest = next(iter(self._half_open))
+                del self._half_open[oldest]
+                self._peers.pop(oldest, None)  # already gone once closed
+                self.half_open_evictions += 1
+            self._half_open[src] = None
             server_nonce = os.urandom(NONCE_LEN)
             peer = self._peers[src] = _Peer(
                 rec.body, build_server_hello(server_nonce, chosen))
@@ -551,6 +561,7 @@ class WtlsServerTransport(_RecordTransport):
                                          chosen, "server")
             self._send_plain(src, peer, CONTENT_HANDSHAKE, peer.server_hello)
         elif msg_type == HS_FINISHED and peer is not None:
+            self._half_open.pop(src, None)
             if not self._check_finished(peer, rec.body):
                 self.handshake_failures += 1
                 self._send_plain(src, peer, CONTENT_ALERT,

@@ -482,3 +482,37 @@ def test_close_wakes_a_waiting_handshake():
     assert not waiter.is_alive()
     assert [str(exc) for exc in raised] == ["transport closed"]
     assert not client.established
+
+
+def test_half_open_peers_are_bounded_and_sessions_survive_a_hello_flood():
+    wire = _Wire()
+    server_addr, client_addr = WdpAddress("server", 9201), WdpAddress("c1", 1)
+    server = wtls.WtlsServerTransport(wire.endpoint(server_addr),
+                                      {b"alice": PSK})
+    client = wtls.WtlsClientTransport(
+        wire.endpoint(client_addr), server_addr, b"alice", PSK,
+        wtls.MODE_FULL, VirtualClock(), rng=random.Random(1))
+    client.handshake(wait=False)
+    wire.pump()
+    assert client.established
+    # 10,000 hellos for a known identity from distinct addresses, none of
+    # which ever sends its Finished
+    deliver = wire.nodes[server_addr].deliver
+    for n in range(10_000):
+        deliver(WdpAddress(f"flood{n}", 1), wtls.encode_record(wtls.WtlsRecord(
+            wtls.CONTENT_HANDSHAKE, 0, wtls.build_client_hello(
+                b"alice", n.to_bytes(wtls.NONCE_LEN, "big"),
+                [wtls.SUITE_STREAM_MAC]))))
+    wire.queue.clear()
+    half_open = [addr for addr, peer in server._peers.items()
+                 if peer.session is None]
+    # the oldest are evicted first, and each eviction is counted
+    assert half_open == [WdpAddress(f"flood{n}", 1)
+                         for n in range(10_000 - wtls.MAX_HALF_OPEN, 10_000)]
+    assert server.half_open_evictions == 10_000 - wtls.MAX_HALF_OPEN
+    assert server.session_count() == 1
+    got = []
+    server.set_receiver(lambda src, data: got.append((src, data)))
+    client.send(server_addr, b"still here")
+    wire.pump()
+    assert got == [(client_addr, b"still here")]
