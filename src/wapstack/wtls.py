@@ -549,7 +549,7 @@ class WtlsServerTransport(_RecordTransport):
             if len(self._half_open) >= MAX_HALF_OPEN:
                 oldest = next(iter(self._half_open))
                 del self._half_open[oldest]
-                self._peers.pop(oldest, None)  # already gone once closed
+                self._peers.pop(oldest, None)  # gone if the transport closed
                 self.half_open_evictions += 1
             self._half_open[src] = None
             server_nonce = os.urandom(NONCE_LEN)

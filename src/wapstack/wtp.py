@@ -34,9 +34,9 @@ resent after each retry interval until the record's timer is stopped or a
 retry falls due (``max_retrans`` + 1) x ``retry_interval_ms`` or more after
 the first send, which aborts the transaction.  That deadline does not
 depend on the intervals, so a peer with short measured ones gives up when a
-peer on the fixed schedule does.  A duplicate Invoke
-gets that stored Result again until the transaction finishes; a finished
-record keeps no PDU.
+peer on the fixed schedule does.  A duplicate Invoke gets that stored
+Result again until the transaction finishes; a finished record keeps no
+PDU.
 
 Retry intervals follow the measured round trip (RFC 6298).  Each provider
 keeps one SRTT/RTTVAR estimate per peer address, at most ``MAX_PEERS`` of
@@ -46,17 +46,16 @@ Ack; a PDU sent more than once gives no sample (Karn's rule).  The RTO is
 SRTT + 4 RTTVAR, at least ``MIN_RTO_MS`` on the responder and
 ``MIN_RTO_MS`` + SRTT on the initiator.  A lost Invoke is so resent after
 about one round trip, without waiting out the responder's Ack hold, which
-answers the resent copy; a lost Result is resent by the responder first, so
-both ends do not resend at once.  Every retry
-to a peer doubles its backoff, a multiplier on its RTO that the next sample
-resets (RFC 6298 5.5).  A record's retries wait the full backoff; its first
-send waits half of it, so one lost PDU does not slow the next transaction,
-while a round trip that grew past the RTO, which makes every transaction
-retry, still doubles it until a PDU sent once is answered and sampled.  No
-interval is longer than ``retry_interval_ms``, which is also what a peer
-with no sample gets.  So the whole schedule fits inside the fixed one's
-deadline, and a responder's linger still outlasts every retransmitted
-Invoke.
+answers the resent copy; a lost Result is resent by the responder, whose
+retry falls due first.  Every retry to a peer doubles its backoff, a
+multiplier on its RTO that the next sample resets (RFC 6298 5.5).  A
+record's retries wait the full backoff; its first send waits half of it, so
+one lost PDU does not slow the next transaction, while a round trip that
+grew past the RTO, which makes every transaction retry, still doubles it
+until a PDU sent once is answered and sampled.  No interval is longer than
+``retry_interval_ms``, which is also what a peer with no sample gets.  So
+the whole schedule fits inside the fixed one's deadline, and a responder's
+linger still outlasts every retransmitted Invoke.
 
 Completed records linger for ``linger_ms`` so duplicate PDUs re-trigger
 retransmissions but never a second user indication.  Records finish in time
@@ -290,8 +289,7 @@ class TransactionHandle:
 
     __slots__ = ("tid", "tclass", "dst", "state", "result", "oob", "error",
                  "timer", "resend", "retransmits", "sent_at", "first_sent",
-                 "_provider",
-                 "_event", "_callbacks", "__weakref__")
+                 "_provider", "_event", "_callbacks", "__weakref__")
 
     def __init__(self, provider: "WtpProvider", tid: int, tclass: int, dst):
         self.tid = tid
@@ -452,10 +450,10 @@ class WtpProvider:
         """Seconds until ``txn``'s next retry: RFC 6298's SRTT + 4 RTTVAR
         for ``peer`` times its backoff, at most ``retry_interval_ms``.  The
         floor is ``MIN_RTO_MS``, plus SRTT on an initiator, so that the
-        responder's retry of a lost Result fires first; a PDU not yet resent
-        waits half the backoff (see the module docstring); a peer with no
-        sample gets ``retry_interval_ms``.  Runs for every Invoke and
-        Result, so it avoids helper calls."""
+        responder's retry of a lost Result falls due first; a PDU not yet
+        resent waits half the backoff (see the module docstring); a peer
+        with no sample gets ``retry_interval_ms``.  Runs for every Invoke
+        and Result, so it avoids helper calls."""
         cap = self.policy.retry_interval_ms
         estimate = self._rtt.get(peer)
         if estimate is None:

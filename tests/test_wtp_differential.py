@@ -179,8 +179,8 @@ class Scenario:
 
 
 def run_scenarios(count: int = SCENARIOS, each=None) -> str:
-    """The digest over every scenario's log; ``each(seed, log_bytes,
-    scenario)`` is called after each scenario if given."""
+    """The digest over every scenario's log; ``each(log_bytes, scenario)``
+    is called after each scenario if given."""
     digest = hashlib.sha256()
     for seed in range(count):
         scenario = Scenario(seed)
@@ -188,7 +188,7 @@ def run_scenarios(count: int = SCENARIOS, each=None) -> str:
         log = b"".join(repr(entry).encode() + b"\n" for entry in scenario.log)
         digest.update(log)
         if each is not None:
-            each(seed, log, scenario)
+            each(log, scenario)
     return digest.hexdigest()
 
 
@@ -216,7 +216,7 @@ def _per_scenario(run) -> tuple[list[str], Counter]:
     how its handles ended: a state, or the error's type."""
     digests, outcomes = [], Counter()
 
-    def each(seed, log, scenario):
+    def each(log, scenario):
         digests.append(hashlib.sha256(log).hexdigest()[:12])
         outcomes.update(type(h.error).__name__ if h.error else h.state
                         for _, h in scenario.handles)
@@ -228,8 +228,8 @@ if __name__ == "__main__":
     if "--scenarios" in sys.argv[1:]:
         reference, ref_outcomes = _per_scenario(reference_digest)
         adaptive, outcomes = _per_scenario(run_scenarios)
-        for seed, pair in enumerate(zip(reference, adaptive)):
-            print(f"scenario {seed:2d} reference {pair[0]} adaptive {pair[1]}")
+        for seed, (ref, ada) in enumerate(zip(reference, adaptive)):
+            print(f"scenario {seed:2d} reference {ref} adaptive {ada}")
         for name, counts in (("reference", ref_outcomes),
                              ("adaptive ", outcomes)):
             print("outcomes", name, " ".join(
