@@ -616,8 +616,7 @@ def test_a_resent_invoke_during_the_ack_hold_gets_one_ack_at_once():
     # 1 ms each way and a 30 ms retry interval to a new peer: the resent
     # Invoke reaches the responder at 31 ms, inside its 100 ms Ack hold.
     pair = Pair(cli_policy=wtp.RetransmissionPolicy(retry_interval_ms=30))
-    for bearer in (pair.cli_bearer, pair.srv_bearer):
-        bearer.set_delivery_script(lambda dgram, index: [1])
+    pair.cli_bearer.set_delivery_script(lambda dgram, index: [1])
     acks = []
     pair.srv_bearer.set_delivery_script(
         lambda dgram, index: acks.append(pair.clock.now()) or [1])
@@ -682,7 +681,7 @@ def test_a_converged_peer_gives_up_at_the_fixed_schedules_deadline(end):
     handle = pair.cli.invoke(SRV, 2, b"q")
     pair.clock.advance(0.001)
     record = handle if end == "initiator" else pair.indications[-1]
-    pair.clock.advance(2.699 - 0.001)
+    pair.clock.advance(2.698)
     assert record.state in (wtp.INVOKE_SENT, wtp.RESULT_SENT)
     pair.clock.advance(0.3)
     assert record.state == wtp.ABORTED
@@ -690,7 +689,7 @@ def test_a_converged_peer_gives_up_at_the_fixed_schedules_deadline(end):
 
 def test_backoff_relearns_a_round_trip_that_grows():
     # Converge at a 1 ms round trip, then make it 200 ms.  Both ends'
-    # converged RTOs (101 and 50 ms) are now short, so every transaction
+    # converged RTOs (51 and 50 ms) are now short, so every transaction
     # resends its Invoke and its Result and gives no sample.  The backoff
     # is kept across transactions until one gives a sample, so the estimate
     # learns the new round trip and the resends stop.
