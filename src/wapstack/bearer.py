@@ -10,11 +10,16 @@ swapped with its immediate successor.  A held datagram is released by the
 next send from the same endpoint (or by ``close``).
 
 The UDP adapter puts the payload bytes on a real socket with no extra
-framing; its bearer address is an ``"ip:port"`` string.
+framing; its bearer address is an ``"ip:port"`` string.  One reader thread
+per bearer receives into a buffer it allocates once and runs the receiver
+callback, so receivers run on that thread.  ``close()`` wakes the reader,
+joins it and closes the socket, so the thread and the port are free before
+it returns (unless a receiver holds the reader past a 2 s join).
 """
 
 from __future__ import annotations
 
+import errno
 import logging
 import queue
 import random
@@ -282,19 +287,38 @@ class UdpBearer(Inbox):
         self._sock.sendto(payload, _parse_udp_addr(dst))
 
     def _read_loop(self) -> None:
+        buf = bytearray(65535)  # above any UDP payload, so none is cut short
+        view = memoryview(buf)
         while True:
             try:
-                data, (host, port) = self._sock.recvfrom(65535)
+                n, addr = self._sock.recvfrom_into(buf)
             except OSError:
                 return
+            if addr is None:  # close() shut the socket down; a datagram,
+                return        # even an empty one, has a source address
+            host, port = addr
             try:
-                self._arrive(RawDatagram(f"{host}:{port}", self._addr, data))
+                self._arrive(RawDatagram(f"{host}:{port}", self._addr,
+                                         view[:n].tobytes()))
             except Exception:  # a receiver bug costs one datagram, not the reader
                 log.exception("receiver failed on a datagram from %s:%d",
                               host, port)
 
     def close(self) -> None:
+        """Stop the reader and close the socket.  From another thread this
+        waits up to 2 s for a receiver that is still running."""
         if self._closed:
             return
         self._closed = True
-        self._sock.close()
+        try:
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError as exc:
+                # an unconnected UDP socket raises ENOTCONN, but the blocked
+                # reader still wakes
+                if exc.errno != errno.ENOTCONN:
+                    raise
+            if threading.current_thread() is not self._thread:
+                self._thread.join(timeout=2.0)
+        finally:
+            self._sock.close()

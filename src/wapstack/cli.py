@@ -137,8 +137,6 @@ def _load_client_psk(path: str, identity: str | None) -> tuple[bytes, bytes]:
 
 
 def _make_useragent(args) -> UserAgent:
-    gateway = args.gateway
-    bearer = UdpBearer()
     security = args.security or wtls.MODE_OFF
     identity, psk = (b"client", b"")
     if security != wtls.MODE_OFF:
@@ -152,7 +150,8 @@ def _make_useragent(args) -> UserAgent:
                   f"rid={int(event.rid)} uak={int(event.uak)}"
                   + (f" class={event.tclass}" if event.tclass is not None else ""),
                   file=sys.stderr)
-    return UserAgent(gateway, bearer, security=security, psk=psk,
+    # last, so that a bad argument leaves no socket or reader thread
+    return UserAgent(args.gateway, UdpBearer(), security=security, psk=psk,
                      identity=identity, trace=trace)
 
 

@@ -96,11 +96,16 @@ class RealClock:
         with self._cond:
             if self._closed:
                 raise RuntimeError("clock is closed")
-            handle = TimerHandle(time.monotonic() + max(delay, 0.0),
-                                 self._seq, fn, args)
+            now = time.monotonic()
+            handle = TimerHandle(now + max(delay, 0.0), self._seq, fn, args)
             self._seq += 1
             heapq.heappush(self._heap, (handle.deadline, handle.seq, handle))
-            self._cond.notify()
+            # A timer behind a head that is not yet due cannot move the
+            # wake-up.  A due head may still wait for the end of a timed
+            # wait, which a notify cuts short.
+            head_deadline, _, head = self._heap[0]
+            if head is handle or head_deadline <= now:
+                self._cond.notify()
         return handle
 
     def _run(self) -> None:
@@ -108,6 +113,9 @@ class RealClock:
             with self._cond:
                 if self._closed:
                     return
+                # drop cancelled heads, so the wait is for a timer that runs
+                while self._heap and self._heap[0][2].cancelled:
+                    heapq.heappop(self._heap)
                 if not self._heap:
                     self._cond.wait()
                     continue

@@ -127,7 +127,14 @@ class UserAgent:
         if security != wtls.MODE_OFF:
             self._transport = wtls.WtlsClientTransport(
                 self._endpoint, gateway_addr, identity, psk, security, self.clock)
-            self._transport.handshake(timeout=timeout)
+            try:
+                self._transport.handshake(timeout=timeout)
+            except BaseException:  # the caller gets no handle to close
+                self._transport.close()
+                self._stack.close()
+                if self._own_clock:
+                    self.clock.close()
+                raise
         else:
             self._transport = self._endpoint
         self.provider = WtpProvider(self._transport, self.clock, policy,

@@ -160,7 +160,7 @@ def _read_token(data: bytes, pos: int, table: dict[int, str],
     if end < 0:
         raise MalformedHeaders(f"unterminated {what} text")
     raw = data[pos:end]
-    if any(b >= 0x80 for b in raw):
+    if not raw.isascii():
         raise MalformedHeaders(f"byte >= 0x80 inside {what} text")
     return raw.decode("ascii"), end + 1
 

@@ -65,7 +65,9 @@ its head; when it fires, every record that is due is forgotten and the timer
 is armed for the next.  A finished initiator record is swapped for a slim
 ``_Finished`` entry (tid, class, peer, state), which is all a duplicate
 Result needs to be answered with Ack(rid); the user's ``TransactionHandle``,
-and the result it holds, are not kept alive by the provider.
+and the result it holds, are not kept alive by the provider.  A finished
+responder record is likewise swapped for a ``_FinishedInvocation``, without
+the Invoke payload.
 """
 
 from __future__ import annotations
@@ -396,6 +398,25 @@ class Invocation:
         self.state = state
 
 
+class _FinishedInvocation:
+    """What a finished responder record leaves behind while it lingers: what
+    a duplicate Invoke is answered from, and what ``respond``, ``user_ack``
+    and ``abort`` check before they raise."""
+
+    __slots__ = ("src", "tid", "tclass", "uak", "state", "acked_standalone",
+                 "last_oob", "timer")
+
+    def __init__(self, txn: Invocation):
+        self.src = txn.src
+        self.tid = txn.tid
+        self.tclass = txn.tclass
+        self.uak = txn.uak
+        self.state = txn.state
+        self.acked_standalone = txn.acked_standalone
+        self.last_oob = txn.last_oob
+        self.timer = None
+
+
 class WtpProvider:
     """Event-driven transaction machine over one datagram transport.
 
@@ -412,7 +433,7 @@ class WtpProvider:
         self._lock = threading.RLock()
         self._next_tid = 1
         self._initiator: dict[int, TransactionHandle | _Finished] = {}
-        self._responder: dict[tuple, Invocation] = {}
+        self._responder: dict[tuple, Invocation | _FinishedInvocation] = {}
         self._lingering: deque[tuple[float, dict, object]] = deque()
         self._linger_timer = None  # armed for the head of _lingering
         # peer -> (SRTT, RTTVAR in ms, RTO backoff), least recently sampled
@@ -533,10 +554,11 @@ class WtpProvider:
                 self._retry_delay(txn, dst), self._on_retry, txn, dst)
 
     def _finish(self, txn, state: str, error: Exception | None = None) -> None:
-        """Stop ``txn``'s timer, complete it, and forget it after
-        ``linger_ms``; until then duplicates of it are still answered.  The
-        stored PDU is dropped: once finished, a duplicate Invoke is answered
-        with an Ack at most, never the Result again."""
+        """Stop ``txn``'s timer, complete it, swap its table entry for a
+        slim one and forget that after ``linger_ms``; until then duplicates
+        of it are still answered.  The stored PDU is dropped: once finished,
+        a duplicate Invoke is answered with an Ack at most, never the Result
+        again."""
         _stop(txn)
         txn.resend = None
         txn._complete(state, error)
@@ -545,6 +567,7 @@ class WtpProvider:
             table[key] = _Finished(txn)
         else:
             table, key = self._responder, (txn.src, txn.tid)
+            table[key] = _FinishedInvocation(txn)
         linger = self._seconds(self.policy.linger_ms)
         self._lingering.append((self._clock.now() + linger, table, key))
         if self._linger_timer is None:
@@ -734,7 +757,8 @@ class WtpProvider:
         if self.on_invoke is not None:
             self.on_invoke(txn)
 
-    def _on_duplicate_invoke(self, txn: Invocation, rid: bool) -> None:
+    def _on_duplicate_invoke(self, txn: Invocation | _FinishedInvocation,
+                             rid: bool) -> None:
         # never a second indication; re-trigger whatever answer we last gave
         if txn.state == RESULT_SENT:
             txn.sent_at = None
@@ -749,7 +773,8 @@ class WtpProvider:
             txn.acked_standalone = True
             self._send(txn.src, WtpPdu(PDU_ACK, txn.tid, rid=True))
 
-    def _on_responder_pdu(self, txn: Invocation, pdu: WtpPdu) -> None:
+    def _on_responder_pdu(self, txn: Invocation | _FinishedInvocation,
+                          pdu: WtpPdu) -> None:
         if pdu.pdu_type == PDU_ACK:
             if txn.state == RESULT_SENT:
                 self._sample(txn, txn.src)

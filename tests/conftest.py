@@ -1,7 +1,9 @@
-"""Shared fixtures: random WML documents, a stub HTTP origin, clocks."""
+"""Shared fixtures: random WML documents, a stub HTTP origin, clocks, a
+free UDP port, and a guard against leaked UDP reader threads."""
 
 import http.server
 import random
+import socket
 import string
 import threading
 import time
@@ -62,6 +64,34 @@ def document_corpus(n: int = 50, min_elements: int = 10,
                     seed: int = 20260823) -> list:
     rng = random.Random(seed)
     return [random_document(rng, min_elements) for _ in range(n)]
+
+
+def free_udp_port():
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    port = sock.getsockname()[1]
+    sock.close()
+    return port
+
+
+def _udp_readers():
+    return {t for t in threading.enumerate()
+            if t.name.startswith("udp-bearer-")}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_udp_reader():
+    """Fail a test that leaves a UDP bearer's reader thread running: each
+    one holds a socket and its port until the process exits."""
+    before = _udp_readers()
+    yield
+    leaked = _udp_readers() - before
+    deadline = time.monotonic() + 0.5  # a reader that is just finishing
+    for thread in leaked:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    alive = sorted(t.name for t in leaked if t.is_alive())
+    if alive:
+        pytest.fail(f"UDP reader threads left running: {alive}")
 
 
 @pytest.fixture

@@ -481,6 +481,7 @@ def _scripted_exchange(clock, gw_transport_factory, cli_transport_factory,
 
 def test_criterion_8_bearer_differential():
     clock = RealClock()
+    gw_bearer, cli_bearer = UdpBearer(), UdpBearer()
     try:
         # run 1: simulated bearer
         net = SimNetwork(clock)
@@ -492,8 +493,6 @@ def test_criterion_8_bearer_differential():
             WdpAddress("gw", 9201))
 
         # run 2: UDP loopback
-        gw_bearer = UdpBearer()
-        cli_bearer = UdpBearer()
         udp_log = _scripted_exchange(
             clock,
             lambda: WdpStack(gw_bearer).bind(9201),
@@ -502,6 +501,8 @@ def test_criterion_8_bearer_differential():
             WdpAddress(gw_bearer.local_addr, 9201))
     finally:
         clock.close()
+        gw_bearer.close()
+        cli_bearer.close()
 
     assert sim_log == udp_log, "bearers produced different WDP-level traffic"
     assert len(sim_log) > 10

@@ -204,6 +204,33 @@ def test_udp_oversize_and_close():
         a.send("127.0.0.1:1", b"x")
 
 
+def test_udp_close_frees_the_reader_and_the_port():
+    a = UdpBearer()
+    reader = a._thread
+    host, port = a.local_addr.split(":")
+    a.close()
+    assert not reader.is_alive()
+    again = UdpBearer((host, int(port)))
+    again.close()
+
+
+def test_udp_empty_and_largest_datagrams_arrive_whole():
+    a, b = UdpBearer(mtu=65507), UdpBearer()
+    try:
+        a.send(b.local_addr, b"")
+        empty = b.recv(timeout=2.0)
+        assert empty is not None and empty.payload == b""
+        assert empty.src == a.local_addr
+        # the reader is still running after the empty datagram
+        largest = bytes(range(256)) * 255 + b"x" * 227  # 65,507 B, UDP's limit
+        a.send(b.local_addr, largest)
+        got = b.recv(timeout=2.0)
+        assert got is not None and got.payload == largest
+    finally:
+        a.close()
+        b.close()
+
+
 # --- the receive inbox, on each of its three users ----------------------------
 
 def _sim_inbox():

@@ -2,7 +2,6 @@
 
 import gc
 import logging
-import socket
 import threading
 import warnings
 
@@ -11,16 +10,10 @@ import pytest
 from wapstack import cli, gateway as gw, wml
 from wapstack.bearer import UdpBearer
 
+from conftest import free_udp_port
+
 DECK = '<wml><card id="c1"><p>Hi</p><p><a href="/next">go</a></p></card></wml>'
 NEXT = "<wml><card><p>Done</p></card></wml>"
-
-
-def free_udp_port():
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.bind(("127.0.0.1", 0))
-    port = sock.getsockname()[1]
-    sock.close()
-    return port
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Timer scheduling: ordering, cancellation, both clock implementations."""
 
 import threading
+import time
 
 from wapstack.clock import RealClock, VirtualClock
 
@@ -95,5 +96,52 @@ def test_real_clock_survives_callback_exception():
         clock.call_later(0.0, lambda: 1 / 0)
         clock.call_later(0.02, done.set)
         assert done.wait(2.0)
+    finally:
+        clock.close()
+
+
+def test_real_clock_sleeps_through_cancelled_timers():
+    clock = RealClock()
+    waits = []
+    wait = clock._cond.wait
+
+    def counted_wait(timeout=None):
+        waits.append(timeout)
+        return wait(timeout)
+
+    clock._cond.wait = counted_wait
+    try:
+        handles = []
+        for i in range(10):
+            handles.append(clock.call_later(0.05 * (i + 1), lambda: None))
+            time.sleep(0.002)  # the worker is back in its wait
+        for handle in handles:
+            handle.cancel()
+        time.sleep(0.6)  # past every deadline
+    finally:
+        clock.close()
+    # one wait for the first deadline and one on the emptied heap, not one
+    # per armed timer and another per deadline
+    assert len(waits) <= 3, waits
+
+
+def test_real_clock_wakes_its_worker_for_a_timer_behind_a_due_head():
+    clock = RealClock()
+    notifies = []
+    notify = clock._cond.notify
+
+    def counted_notify(n=1):
+        notifies.append(n)
+        return notify(n)
+
+    clock._cond.notify = counted_notify
+    fired = threading.Event()
+    try:
+        with clock._cond:  # the worker cannot run the first timer meanwhile
+            clock.call_later(0.0, lambda: None)
+            clock.call_later(0.0, fired.set)
+        # the worker's wait for a due head can end late; a notify ends it
+        assert len(notifies) == 2
+        assert fired.wait(2.0)
     finally:
         clock.close()

@@ -14,6 +14,8 @@ from wapstack.useragent import UserAgent
 from wapstack.wdp import WdpAddress, WdpStack
 from wapstack.wtp import WtpProvider
 
+from conftest import free_udp_port
+
 WML_PAGE = '<wml><card id="c1"><p>Hi</p></card></wml>'
 
 
@@ -291,6 +293,14 @@ def test_request_off_class_2_is_ignored(real_clock, tclass, request_msg):
     finally:
         provider.close()
         bearer.close()
+        service.close()
+
+
+def test_udp_gateway_restarts_on_its_port(real_clock):
+    config = gw.GatewayConfig(bearer="udp", listen_port=free_udp_port())
+    for _ in range(2):
+        service = gw.Gateway(config, clock=real_clock,
+                             fetch=gw.local_content_fetch({}))
         service.close()
 
 

@@ -1,14 +1,17 @@
 """Deck rendering rules and browsing behavior of the user agent."""
 
 import logging
+import threading
 
 import pytest
 
-from wapstack import gateway as gw, wml, wsp
-from wapstack.bearer import SimNetwork
+from wapstack import gateway as gw, wml, wsp, wtls
+from wapstack.bearer import SimNetwork, UdpBearer
 from wapstack.useragent import (EmptyDeck, FetchResult, NoSuchLink,
                                 RenderedDeck, UserAgent, render)
 from wapstack.wdp import WdpAddress
+
+from conftest import free_udp_port
 
 
 def rendered(text):
@@ -172,4 +175,23 @@ def test_navigate_to_non_deck_content_is_an_error(real_clock):
         assert "did not return a WML deck" in str(exc.value)
     finally:
         ua.close()
+        service.close()
+
+
+def test_failed_handshake_leaves_no_thread_or_socket(real_clock, tmp_path):
+    psk_file = tmp_path / "psk"
+    psk_file.write_text("handset:" + "ab" * 32 + "\n")
+    config = gw.GatewayConfig(security="full", psk_file=str(psk_file),
+                              bearer="udp", listen_port=free_udp_port())
+    service = gw.Gateway(config, clock=real_clock,
+                         fetch=gw.local_content_fetch(PAGES))
+    before = set(threading.enumerate())
+    try:
+        # the user agent's own clock and its UDP reader are both stopped
+        with pytest.raises(wtls.AuthenticationFailure):
+            UserAgent(WdpAddress(service.bearer_addr, config.listen_port),
+                      UdpBearer(), security="full", psk=bytes(32),
+                      identity=b"handset")
+        assert set(threading.enumerate()) <= before
+    finally:
         service.close()
