@@ -311,14 +311,13 @@ class UdpBearer(Inbox):
             return
         self._closed = True
         try:
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError as exc:
-                # an unconnected UDP socket raises ENOTCONN, but the blocked
-                # reader still wakes
-                if exc.errno != errno.ENOTCONN:
-                    raise
-            if threading.current_thread() is not self._thread:
-                self._thread.join(timeout=2.0)
-        finally:
-            self._sock.close()
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError as exc:
+            # an unconnected UDP socket raises ENOTCONN, but the blocked
+            # reader still wakes
+            if exc.errno != errno.ENOTCONN:
+                self._sock.close()
+                raise
+        if threading.current_thread() is not self._thread:
+            self._thread.join(timeout=2.0)
+        self._sock.close()
