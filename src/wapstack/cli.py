@@ -147,7 +147,7 @@ def _make_useragent(args) -> UserAgent:
     if getattr(args, "trace", False):
         def trace(event):
             print(f"wtp {event.direction} {event.pdu_type} tid={event.tid} "
-                  f"rid={int(event.rid)} uak={int(event.uak)}"
+                  f"rid={int(event.rid)}"
                   + (f" class={event.tclass}" if event.tclass is not None else ""),
                   file=sys.stderr)
     # last, so that a bad argument leaves no socket or reader thread

@@ -34,7 +34,11 @@ class TimerHandle:
         self.cancelled = False
 
     def cancel(self) -> None:
+        # Drop the callback and its arguments now, not at the deadline, so
+        # what they refer to is freed.  cancelled goes first: RealClock's
+        # worker reads fn and args before it checks cancelled.
         self.cancelled = True
+        self.fn = self.args = None
 
 
 class VirtualClock:
@@ -125,10 +129,11 @@ class RealClock:
                     self._cond.wait(deadline - now)
                     continue
                 _, _, handle = heapq.heappop(self._heap)
+                fn, args = handle.fn, handle.args
             if handle.cancelled:
                 continue
             try:
-                handle.fn(*handle.args)
+                fn(*args)
             except Exception:
                 log.exception("timer callback failed")
 

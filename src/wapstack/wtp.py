@@ -3,13 +3,14 @@
 PDU wire format:
 
     byte 0   bits 7..4 pdu type (Invoke=0x1 Result=0x2 Ack=0x3 Abort=0x4)
-             bit 3 rid (retransmission), bit 2 uak (user-ack requested),
-             bits 1..0 must be zero
+             bit 3 rid (retransmission), bits 1..0 must be zero; bit 2, a
+             peer's request for a user acknowledgement (uak), is ignored,
+             so such an Invoke gets the provider's Ack or Result
     bytes 1-2  tid, big-endian
     Invoke:  byte 3 = class, payload follows
     Result:  payload from byte 3
-    Ack:     optional out-of-band bytes from byte 3 (max 64)
-    Abort:   byte 3 = reason
+    Ack:     nothing after the tid (exactly 3 bytes)
+    Abort:   byte 3 = reason (exactly 4 bytes)
 
 Concatenation: a leading 0x00 marker followed by repeated
 ``{uint16 length, pdu}`` groups; any other first byte is a single bare PDU
@@ -22,9 +23,7 @@ acknowledges the Invoke implicitly, but a resent Invoke (rid set) that
 arrives during that hold is answered with the Ack at once, the hold-on Ack,
 and none follows when the hold ends.  The responder retransmits the Result
 until the initiator's Ack arrives.  Class 1 completes on Ack; class 0 is
-fire-and-forget.  When ``uak`` is set the provider never auto-acknowledges:
-the receiving user must call ``Invocation.ack`` (optionally with out-of-band
-bytes, which ride the Ack back to the initiator).
+fire-and-forget.
 
 Each end keeps one record per transaction: the initiator's is the
 ``TransactionHandle`` returned by ``invoke``, the responder's is the
@@ -86,14 +85,11 @@ PDU_ABORT = 0x4
 PDU_NAMES = {PDU_INVOKE: "Invoke", PDU_RESULT: "Result",
              PDU_ACK: "Ack", PDU_ABORT: "Abort"}
 
-MAX_OOB = 64
-
 # transaction states
 NULL = "NULL"
 INVOKE_SENT = "INVOKE_SENT"
 INVOKE_RCVD = "INVOKE_RCVD"
 RESULT_SENT = "RESULT_SENT"
-WAIT_USER_ACK = "WAIT_USER_ACK"
 DONE = "DONE"
 ABORTED = "ABORTED"
 
@@ -139,10 +135,6 @@ class WrongState(WtpError):
     pass
 
 
-class UserAckNotRequested(WtpError):
-    pass
-
-
 class AlreadyCompleted(WtpError):
     pass
 
@@ -156,10 +148,8 @@ class WtpPdu:
     pdu_type: int
     tid: int
     rid: bool = False
-    uak: bool = False
     tclass: int | None = None      # Invoke only
     abort_reason: int | None = None  # Abort only
-    oob: bytes = b""               # Ack only
     payload: bytes = b""           # Invoke/Result
 
 
@@ -168,7 +158,7 @@ def encode_pdu(pdu: WtpPdu) -> bytes:
         raise MalformedPdu(f"unknown pdu type {pdu.pdu_type}")
     if not 0 <= pdu.tid <= 65535:
         raise MalformedPdu(f"tid {pdu.tid} out of range")
-    b0 = (pdu.pdu_type << 4) | (0x08 if pdu.rid else 0) | (0x04 if pdu.uak else 0)
+    b0 = (pdu.pdu_type << 4) | (0x08 if pdu.rid else 0)
     out = bytes([b0]) + struct.pack("!H", pdu.tid)
     if pdu.pdu_type == PDU_INVOKE:
         if pdu.tclass not in (0, 1, 2):
@@ -177,9 +167,7 @@ def encode_pdu(pdu: WtpPdu) -> bytes:
     if pdu.pdu_type == PDU_RESULT:
         return out + pdu.payload
     if pdu.pdu_type == PDU_ACK:
-        if len(pdu.oob) > MAX_OOB:
-            raise MalformedPdu(f"oob data {len(pdu.oob)} exceeds {MAX_OOB} bytes")
-        return out + pdu.oob
+        return out
     # Abort
     if pdu.abort_reason is None or not 0 <= pdu.abort_reason <= 255:
         raise MalformedPdu("abort needs a reason byte")
@@ -196,7 +184,6 @@ def decode_pdu(data: bytes) -> WtpPdu:
     if pdu_type not in PDU_NAMES:
         raise MalformedPdu(f"unknown pdu type {pdu_type}")
     rid = bool(b0 & 0x08)
-    uak = bool(b0 & 0x04)
     tid = struct.unpack_from("!H", data, 1)[0]
     if pdu_type == PDU_INVOKE:
         if len(data) < 4:
@@ -204,16 +191,16 @@ def decode_pdu(data: bytes) -> WtpPdu:
         tclass = data[3]
         if tclass not in (0, 1, 2):
             raise MalformedPdu(f"invoke class {tclass} invalid")
-        return WtpPdu(pdu_type, tid, rid, uak, tclass=tclass, payload=data[4:])
+        return WtpPdu(pdu_type, tid, rid, tclass=tclass, payload=data[4:])
     if pdu_type == PDU_RESULT:
-        return WtpPdu(pdu_type, tid, rid, uak, payload=data[3:])
+        return WtpPdu(pdu_type, tid, rid, payload=data[3:])
     if pdu_type == PDU_ACK:
-        if len(data) - 3 > MAX_OOB:
-            raise MalformedPdu("ack oob data too long")
-        return WtpPdu(pdu_type, tid, rid, uak, oob=data[3:])
+        if len(data) != 3:
+            raise MalformedPdu("ack must be exactly 3 bytes")
+        return WtpPdu(pdu_type, tid, rid)
     if len(data) != 4:
         raise MalformedPdu("abort must be exactly 4 bytes")
-    return WtpPdu(pdu_type, tid, rid, uak, abort_reason=data[3])
+    return WtpPdu(pdu_type, tid, rid, abort_reason=data[3])
 
 
 def concat_pdus(chunks: list[bytes]) -> bytes:
@@ -263,9 +250,9 @@ class RetransmissionPolicy:
 
 
 def _stop(txn) -> None:
-    """Cancel and drop ``txn``'s timer.  The timer's arguments refer back to
-    ``txn``; dropping it lets a finished record be freed without waiting for
-    the cycle collector."""
+    """Cancel and drop ``txn``'s timer.  A callback that RealClock has
+    already taken off its heap still runs; ``txn.timer is None`` tells it
+    that the timer was stopped."""
     if txn.timer is not None:
         txn.timer.cancel()
         txn.timer = None
@@ -276,7 +263,6 @@ class TraceEvent(NamedTuple):
     pdu_type: str
     tid: int
     rid: bool
-    uak: bool
     tclass: int | None
 
 
@@ -289,9 +275,9 @@ class TransactionHandle:
     is only used through ``add_done_callback`` never builds one.
     """
 
-    __slots__ = ("tid", "tclass", "dst", "state", "result", "oob", "error",
-                 "timer", "resend", "retransmits", "sent_at", "first_sent",
-                 "_provider", "_event", "_callbacks", "__weakref__")
+    __slots__ = ("tid", "tclass", "dst", "state", "result", "error", "timer",
+                 "resend", "retransmits", "sent_at", "first_sent", "_provider",
+                 "_event", "_callbacks", "__weakref__")
 
     def __init__(self, provider: "WtpProvider", tid: int, tclass: int, dst):
         self.tid = tid
@@ -299,7 +285,6 @@ class TransactionHandle:
         self.dst = dst
         self.state = NULL
         self.result: bytes | None = None
-        self.oob: bytes | None = None
         self.error: Exception | None = None
         self.timer = None        # retry timer
         self.resend: WtpPdu | None = None  # rid-flagged Invoke to repeat
@@ -364,18 +349,17 @@ class Invocation:
     """Responder-side indication of a received Invoke, delivered once; also
     the provider's record of that transaction while it runs and lingers."""
 
-    __slots__ = ("_provider", "src", "tid", "tclass", "payload", "uak", "state",
+    __slots__ = ("_provider", "src", "tid", "tclass", "payload", "state",
                  "timer", "resend", "retransmits", "sent_at", "first_sent",
-                 "acked_standalone", "last_oob")
+                 "acked_standalone")
 
     def __init__(self, provider: "WtpProvider", src, tid: int, tclass: int,
-                 payload: bytes, uak: bool):
+                 payload: bytes):
         self._provider = provider
         self.src = src
         self.tid = tid
         self.tclass = tclass
         self.payload = payload
-        self.uak = uak
         self.state = INVOKE_RCVD
         self.timer = None        # delayed-Ack timer, then retry timer
         self.resend: WtpPdu | None = None  # rid-flagged Result to repeat
@@ -383,13 +367,9 @@ class Invocation:
         self.sent_at: float | None = None  # round-trip sample start
         self.first_sent = 0.0  # when the give-up deadline started
         self.acked_standalone = False
-        self.last_oob = b""
 
     def respond(self, payload: bytes) -> None:
         self._provider.respond(self.src, self.tid, payload)
-
-    def ack(self, oob: bytes = b"") -> None:
-        self._provider.user_ack(self.src, self.tid, oob)
 
     def abort(self, reason: int = ABORT_USER) -> None:
         self._provider._abort_responder(self.src, self.tid, reason)
@@ -400,20 +380,17 @@ class Invocation:
 
 class _FinishedInvocation:
     """What a finished responder record leaves behind while it lingers: what
-    a duplicate Invoke is answered from, and what ``respond``, ``user_ack``
-    and ``abort`` check before they raise."""
+    a duplicate Invoke is answered from, and what ``respond`` and ``abort``
+    check before they raise."""
 
-    __slots__ = ("src", "tid", "tclass", "uak", "state", "acked_standalone",
-                 "last_oob", "timer")
+    __slots__ = ("src", "tid", "tclass", "state", "acked_standalone", "timer")
 
     def __init__(self, txn: Invocation):
         self.src = txn.src
         self.tid = txn.tid
         self.tclass = txn.tclass
-        self.uak = txn.uak
         self.state = txn.state
         self.acked_standalone = txn.acked_standalone
-        self.last_oob = txn.last_oob
         self.timer = None
 
 
@@ -450,7 +427,7 @@ class WtpProvider:
     def _emit(self, direction: str, pdu: WtpPdu) -> None:
         if self.trace is not None:
             self.trace(TraceEvent(direction, PDU_NAMES[pdu.pdu_type], pdu.tid,
-                                  pdu.rid, pdu.uak, pdu.tclass))
+                                  pdu.rid, pdu.tclass))
 
     def _send(self, dst, pdu: WtpPdu) -> None:
         self._transport.send(dst, encode_pdu(pdu))
@@ -524,9 +501,7 @@ class WtpProvider:
         retry, (``max_retrans`` + 1) x ``retry_interval_ms`` have passed
         since this first send, which aborts ``txn``."""
         self._send(dst, pdu)
-        txn.first_sent = self._clock.now()
-        if not pdu.uak:  # a user acknowledgement would time the user
-            txn.sent_at = txn.first_sent
+        txn.first_sent = txn.sent_at = self._clock.now()
         pdu.rid = True  # the trace event above has the first-send flag
         txn.resend = pdu
         txn.timer = self._clock.call_later(
@@ -589,7 +564,7 @@ class WtpProvider:
 
     # --- initiator API ------------------------------------------------------
 
-    def invoke(self, dst, tclass: int, payload: bytes, uak: bool = False) -> TransactionHandle:
+    def invoke(self, dst, tclass: int, payload: bytes) -> TransactionHandle:
         if tclass not in (0, 1, 2):
             raise ValueError(f"class must be 0, 1 or 2, got {tclass}")
         if len(payload) + 4 > self._transport.max_payload:
@@ -600,7 +575,7 @@ class WtpProvider:
                 raise WtpError("provider closed")
             tid = self._alloc_tid()
             handle = TransactionHandle(self, tid, tclass, dst)
-            pdu = WtpPdu(PDU_INVOKE, tid, uak=uak, tclass=tclass, payload=payload)
+            pdu = WtpPdu(PDU_INVOKE, tid, tclass=tclass, payload=payload)
             if tclass == 0:
                 self._send(dst, pdu)
                 handle._complete(DONE)
@@ -632,30 +607,11 @@ class WtpProvider:
                 raise UnknownTid(f"tid {tid} from {src}")
             if txn.tclass != 2:
                 raise WrongClass(f"tid {tid} is class {txn.tclass}, result needs class 2")
-            if txn.state not in (INVOKE_RCVD, WAIT_USER_ACK):
+            if txn.state != INVOKE_RCVD:
                 raise WrongState(f"tid {tid} in state {txn.state}")
             _stop(txn)  # the Result acknowledges the Invoke
             txn.state = RESULT_SENT
             self._transmit(txn, src, WtpPdu(PDU_RESULT, tid, payload=payload))
-
-    def user_ack(self, src, tid: int, oob: bytes = b"") -> None:
-        if len(oob) > MAX_OOB:
-            raise ValueError(f"oob data limited to {MAX_OOB} bytes")
-        with self._lock:
-            txn = self._responder.get((src, tid))
-            if txn is None:
-                raise UnknownTid(f"tid {tid} from {src}")
-            if not txn.uak:
-                raise UserAckNotRequested(f"tid {tid} did not request user ack")
-            if txn.state != WAIT_USER_ACK:
-                raise WrongState(f"tid {tid} in state {txn.state}")
-            txn.last_oob = oob
-            txn.acked_standalone = True
-            self._send(src, WtpPdu(PDU_ACK, tid, oob=oob))
-            if txn.tclass == 1:
-                self._finish(txn, DONE)
-            else:
-                txn.state = INVOKE_RCVD  # awaiting respond()
 
     def _abort_responder(self, src, tid: int, reason: int) -> None:
         with self._lock:
@@ -714,8 +670,6 @@ class WtpProvider:
             if handle.state != INVOKE_SENT:
                 return
             self._sample(handle, handle.dst)
-            if pdu.oob:
-                handle.oob = pdu.oob
             if handle.tclass == 1:
                 self._finish(handle, DONE)
             else:
@@ -741,17 +695,15 @@ class WtpProvider:
         if txn is not None:
             self._on_duplicate_invoke(txn, pdu.rid)
             return
-        txn = Invocation(self, src, pdu.tid, pdu.tclass, pdu.payload, pdu.uak)
+        txn = Invocation(self, src, pdu.tid, pdu.tclass, pdu.payload)
         self._responder[key] = txn
         if pdu.tclass == 0:
             self._finish(txn, DONE)
-        elif pdu.uak:
-            txn.state = WAIT_USER_ACK
         elif pdu.tclass == 1:
             txn.acked_standalone = True
             self._send(src, WtpPdu(PDU_ACK, pdu.tid))
             self._finish(txn, DONE)
-        else:  # class 2, provider-acknowledged
+        else:  # class 2
             txn.timer = self._clock.call_later(
                 self._seconds(ACK_DELAY_MS), self._on_ack_delay, txn)
         if self.on_invoke is not None:
@@ -764,11 +716,10 @@ class WtpProvider:
             txn.sent_at = None
             self._send(txn.src, txn.resend)
         elif txn.acked_standalone and txn.state in (INVOKE_RCVD, DONE):
-            self._send(txn.src, WtpPdu(PDU_ACK, txn.tid, rid=True,
-                                       oob=txn.last_oob))
+            self._send(txn.src, WtpPdu(PDU_ACK, txn.tid, rid=True))
         elif rid and txn.state == INVOKE_RCVD:
-            # the initiator's retry ran out during our Ack hold (class 2, no
-            # uak): the hold-on Ack goes now, and none at the hold's end
+            # the initiator's retry ran out during our Ack hold (class 2): the
+            # hold-on Ack goes now, and none at the hold's end
             _stop(txn)
             txn.acked_standalone = True
             self._send(txn.src, WtpPdu(PDU_ACK, txn.tid, rid=True))

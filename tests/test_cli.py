@@ -2,6 +2,7 @@
 
 import gc
 import logging
+import re
 import threading
 import warnings
 
@@ -211,7 +212,8 @@ def test_wapget_trace_goes_to_stderr(udp_gateway, capsys):
     assert cli.wapget_main(["--gateway", udp_gateway, "--trace",
                             "http://site/index"]) == 0
     err = capsys.readouterr().err
-    assert "wtp snd Invoke" in err and "wtp rcv Result" in err
+    assert re.search(r"^wtp snd Invoke tid=\d+ rid=0 class=2$", err, re.M)
+    assert re.search(r"^wtp rcv Result tid=\d+ rid=0$", err, re.M)
 
 
 def test_wapget_connectionless(udp_gateway, capsys):

@@ -1,7 +1,10 @@
 """Timer scheduling: ordering, cancellation, both clock implementations."""
 
+import logging
+import sys
 import threading
 import time
+import weakref
 
 from wapstack.clock import RealClock, VirtualClock
 
@@ -34,6 +37,21 @@ def test_virtual_clock_cancel():
     handle.cancel()
     clock.advance(1.0)
     assert out == ["y"]
+
+
+def test_virtual_clock_cancel_frees_the_callback_arguments():
+    class Record:
+        pass
+
+    clock = VirtualClock()
+    record = Record()
+    freed = weakref.ref(record)
+    handle = clock.call_later(1.0, lambda r: None, record)
+    del record
+    handle.cancel()
+    assert freed() is None  # at the cancel, not at the deadline
+    clock.advance(2.0)
+    assert clock.pending() == 0
 
 
 def test_virtual_clock_callback_can_reschedule():
@@ -145,3 +163,34 @@ def test_real_clock_wakes_its_worker_for_a_timer_behind_a_due_head():
         assert fired.wait(2.0)
     finally:
         clock.close()
+
+
+def test_real_clock_never_runs_a_timer_cancelled_from_another_thread(caplog):
+    clock = RealClock()
+    ran = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the worker and the canceller
+    try:
+        # cancelled before it is due: it never runs
+        armed = clock.call_later(0.05, ran.append, "late")
+        canceller = threading.Thread(target=armed.cancel)
+        canceller.start()
+        canceller.join(2.0)
+        # due at once, so the worker may pop each one just as it is
+        # cancelled: it runs the callback it was given or nothing, never the
+        # dropped one
+        handles = [clock.call_later(0.0, ran.append, i) for i in range(500)]
+        canceller = threading.Thread(
+            target=lambda: [handle.cancel() for handle in handles])
+        with caplog.at_level(logging.ERROR, logger="wapstack.clock"):
+            canceller.start()
+            canceller.join(2.0)
+            time.sleep(0.1)  # past the first timer's deadline
+    finally:
+        sys.setswitchinterval(switch)
+        clock.close()
+    assert not canceller.is_alive()
+    assert "late" not in ran
+    assert set(ran) <= set(range(500))
+    assert not [r for r in caplog.records
+                if r.getMessage() == "timer callback failed"]

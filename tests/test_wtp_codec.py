@@ -9,6 +9,8 @@ from wapstack import wtp
 def test_invoke_worked_example():
     pdu = wtp.WtpPdu(wtp.PDU_INVOKE, tid=1, tclass=2, payload=b"GET")
     assert wtp.encode_pdu(pdu) == bytes.fromhex("100001") + b"\x02GET"
+    # bit 2, a request for a user acknowledgement, is ignored
+    assert wtp.decode_pdu(bytes.fromhex("140001") + b"\x02GET") == pdu
 
 
 def test_ack_worked_example():
@@ -29,11 +31,10 @@ def test_bare_pdu_passes_split_unchanged():
     assert wtp.split_pdus(raw) == [raw]
 
 
-@given(tid=st.integers(0, 65535), rid=st.booleans(), uak=st.booleans(),
+@given(tid=st.integers(0, 65535), rid=st.booleans(),
        tclass=st.sampled_from([0, 1, 2]), payload=st.binary(max_size=256))
-def test_invoke_round_trip(tid, rid, uak, tclass, payload):
-    pdu = wtp.WtpPdu(wtp.PDU_INVOKE, tid, rid, uak, tclass=tclass,
-                     payload=payload)
+def test_invoke_round_trip(tid, rid, tclass, payload):
+    pdu = wtp.WtpPdu(wtp.PDU_INVOKE, tid, rid, tclass=tclass, payload=payload)
     assert wtp.decode_pdu(wtp.encode_pdu(pdu)) == pdu
 
 
@@ -44,9 +45,9 @@ def test_result_round_trip(tid, rid, payload):
     assert wtp.decode_pdu(wtp.encode_pdu(pdu)) == pdu
 
 
-@given(tid=st.integers(0, 65535), oob=st.binary(max_size=wtp.MAX_OOB))
-def test_ack_round_trip(tid, oob):
-    pdu = wtp.WtpPdu(wtp.PDU_ACK, tid, oob=oob)
+@given(tid=st.integers(0, 65535), rid=st.booleans())
+def test_ack_round_trip(tid, rid):
+    pdu = wtp.WtpPdu(wtp.PDU_ACK, tid, rid)
     assert wtp.decode_pdu(wtp.encode_pdu(pdu)) == pdu
 
 
@@ -70,7 +71,8 @@ def test_concat_round_trip(chunks):
     b"\x10\x00\x01\x03",        # invoke class 3
     b"\x40\x00\x01",            # abort missing reason
     b"\x40\x00\x01\x01\x02",    # abort too long
-    b"\x30\x00\x01" + b"x" * 65,  # ack oob over the limit
+    b"\x30\x00\x01x",          # ack with a trailing byte
+    b"\x30\x00\x01" + b"x" * 65,  # ack with 65 trailing bytes
 ])
 def test_malformed_pdus_rejected(data):
     with pytest.raises(wtp.MalformedPdu):
@@ -80,8 +82,6 @@ def test_malformed_pdus_rejected(data):
 def test_encode_validation():
     with pytest.raises(wtp.MalformedPdu):
         wtp.encode_pdu(wtp.WtpPdu(wtp.PDU_INVOKE, 1, tclass=5))
-    with pytest.raises(wtp.MalformedPdu):
-        wtp.encode_pdu(wtp.WtpPdu(wtp.PDU_ACK, 1, oob=b"x" * 65))
     with pytest.raises(wtp.MalformedPdu):
         wtp.encode_pdu(wtp.WtpPdu(wtp.PDU_ABORT, 1))
     with pytest.raises(wtp.MalformedPdu):

@@ -5,9 +5,9 @@ over a simulated bearer with loss (0-30%), duplication, reordering and
 jitter.  Every bearer has some jitter, so no two events share an instant:
 at a shared instant the order of a record being forgotten and a PDU
 arriving follows the order in which their timers were armed, which is the
-clock's tie-break and not a protocol rule.  Handsets mix classes 0/1/2 and user acknowledgement; responders
-answer at once, late, by user Ack or by Abort, or never; some initiators
-abort; one handset may be closed mid-run.  Copies of finished Invokes and
+clock's tie-break and not a protocol rule.  Handsets mix classes 0/1/2;
+responders answer at once, late, by Abort, or never; some initiators abort;
+one handset may be closed mid-run.  Copies of finished Invokes and
 Results are replayed just before and just after ``linger_ms`` runs out.
 
 The whole run is reduced to one SHA-256: every datagram put on a bearer
@@ -24,8 +24,12 @@ moves outcomes or only timing.  ``EXPECTED_ADAPTIVE`` is the provider as it
 ships, with per-peer round-trip estimates.  ``python
 tests/test_wtp_differential.py`` (with ``src`` on ``PYTHONPATH``) prints
 both; with ``--scenarios`` it prints one short digest per scenario for each
-run, then each run's handle outcomes, so the output of two trees can be
-diffed to name the scenarios that moved.
+run, then each run's handle outcomes.  The scenarios touch only what every
+tree's WTP has, so this file can be run against another tree's source::
+
+    PYTHONPATH=<tree>/src python tests/test_wtp_differential.py --scenarios
+
+Diffing that output for two trees names the scenarios a change moved.
 """
 
 import hashlib
@@ -40,9 +44,9 @@ from wapstack.clock import VirtualClock
 from wapstack.wdp import WdpAddress, WdpStack
 
 SCENARIOS = 90
-EXPECTED = "fdc015197631163abe11b05fd04321e4cbe00bec1ba78143932700f905d0705f"
+EXPECTED = "0750855def4592e852fd917a0aecbeacd3623eae9d08681dc1574e12004e96d3"
 EXPECTED_ADAPTIVE = (
-    "a1921fc0078072af590abfffef48f52926894bd55dc4f5718f5bc934340a951a")
+    "2c7f991a9f75c08e257a66239e2c7d5c20e7387d423c5f545d08cb36e8994963")
 
 SRV = WdpAddress("srv", 2000)
 CLIENTS = ("cli0", "cli1")
@@ -79,7 +83,8 @@ class Scenario:
             self.providers[name] = wtp.WtpProvider(
                 endpoint, clock, policy,
                 trace=lambda e, n=name: self.log.append(
-                    ("trace", n, clock.now()) + tuple(e)))
+                    ("trace", n, clock.now(), e.direction, e.pdu_type, e.tid,
+                     e.rid, e.tclass)))
         self.providers["srv"].on_invoke = self._on_invoke
         self.providers["srv"].on_abort = lambda src, tid, reason: self.log.append(
             ("on_abort", clock.now(), src, tid, reason))
@@ -106,18 +111,12 @@ class Scenario:
 
     def _on_invoke(self, inv: wtp.Invocation) -> None:
         self.log.append(("indication", self.clock.now(), inv.src, inv.tid,
-                         inv.tclass, inv.uak, inv.payload))
+                         inv.tclass, inv.payload))
+        if inv.tclass != 2:
+            return
         mode = inv.payload[0] % 6
         later = self.clock.call_later
-        if inv.uak:
-            later(self.rng.uniform(0.0, 0.4), self._call, "ack", inv.ack,
-                  b"oob" if mode % 2 else b"")
-            if inv.tclass == 2:
-                later(self.rng.uniform(0.4, 0.6), self._call, "respond",
-                      inv.respond, b"after ack")
-        elif inv.tclass != 2:
-            return
-        elif mode in (0, 1, 2):
+        if mode in (0, 1, 2):
             self._call("respond", inv.respond, b"R:" + inv.payload)
         elif mode == 3:
             later(self.rng.uniform(0.05, 0.8), self._call, "respond",
@@ -130,11 +129,9 @@ class Scenario:
     def _invoke(self, client: str, n: int) -> None:
         rng = self.rng
         tclass = rng.choice([0, 1, 2, 2, 2])
-        uak = tclass != 0 and rng.random() < 0.2
         provider = self.providers[client]
         try:
-            handle = provider.invoke(SRV, tclass, bytes([n, rng.randrange(256)]),
-                                     uak=uak)
+            handle = provider.invoke(SRV, tclass, bytes([n, rng.randrange(256)]))
         except wtp.WtpError as exc:
             self.log.append(("refused", self.clock.now(), "invoke",
                              type(exc).__name__, str(exc)))
@@ -174,7 +171,7 @@ class Scenario:
         self.clock.run_until_idle(limit=120.0)
         for client, h in self.handles:
             self.log.append(("outcome", client, h.tid, h.state, h.result,
-                             h.oob, type(h.error).__name__, str(h.error)))
+                             type(h.error).__name__, str(h.error)))
         self.log.append(("pending", self.clock.pending()))
 
 

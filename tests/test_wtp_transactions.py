@@ -187,36 +187,33 @@ def test_duplicate_invoke_never_reindicated():
     assert len(pair.indications) == 1
 
 
-def test_user_ack_carries_out_of_band_data():
+@pytest.mark.parametrize("tclass, answer", [
+    (1, [("snd", "Ack", False)]),
+    (2, [("snd", "Result", False), ("rcv", "Ack", False)]),
+], ids=["class1", "class2"])
+def test_an_invoke_asking_for_a_user_ack_gets_the_providers_answer(tclass,
+                                                                   answer):
+    # Bit 2 of byte 0 asks for a user acknowledgement, which this stack
+    # never gives: the bit is ignored, so the peer is answered at once
+    # rather than retrying until it gives up.
     pair = Pair()
-    pair.responder = lambda inv: inv.ack(b"oob!")
-    handle = pair.cli.invoke(SRV, 1, b"ping", uak=True)
-    pair.clock.advance(0.01)
-    assert handle.done and handle.oob == b"oob!"
-    inv = pair.indications[0]
-    assert inv.uak
+    if tclass == 2:
+        pair.responder = lambda inv: inv.respond(b"R")
+    peer = WdpStack(pair.net.endpoint("peer")).bind(1000)
+    received = []
 
-
-def test_uak_suppresses_automatic_ack():
-    policy = wtp.RetransmissionPolicy(retry_interval_ms=100, max_retrans=2)
-    pair = Pair(cli_policy=policy)  # responder never acks
-    handle = pair.cli.invoke(SRV, 1, b"ping", uak=True)
-    pair.clock.advance(0.5)
-    assert not any(e[:2] == ("snd", "Ack") for e in pair.node_events("srv"))
+    def on_datagram(src, data):
+        received.append(data)
+        if data[0] >> 4 == wtp.PDU_RESULT:
+            peer.send(SRV, bytes.fromhex("300007"))  # Ack, tid 7
+    peer.set_receiver(on_datagram)
+    peer.send(SRV, bytes([0x14, 0x00, 0x07, tclass]) + b"q")
     pair.clock.run_until_idle(limit=10.0)
-    assert handle.state == wtp.ABORTED  # no ack ever came
-
-
-def test_user_ack_requires_uak_flag():
-    pair = Pair()
-    handle = pair.cli.invoke(SRV, 2, b"q")
-    pair.clock.advance(0.01)
-    inv = pair.indications[0]
-    with pytest.raises(wtp.UserAckNotRequested):
-        inv.ack()
-    inv.respond(b"fine")
-    pair.clock.advance(0.01)
-    assert handle.done
+    assert [inv.payload for inv in pair.indications] == [b"q"]
+    assert pair.indications[0].state == wtp.DONE
+    assert pair.node_events("srv") == [("rcv", "Invoke", False), *answer]
+    assert received == [bytes.fromhex("300007") if tclass == 1
+                        else bytes.fromhex("200007") + b"R"]
 
 
 def test_initiator_abort_reaches_responder():
@@ -521,16 +518,6 @@ def test_no_sample_from_a_pdu_sent_more_than_once(cli_script, srv_script,
             if provider._rtt} == sampled_by
 
 
-def test_no_sample_from_a_user_acknowledged_invoke():
-    pair = Pair()
-    # the Ack comes when the user gives it, so it does not time the path
-    pair.responder = lambda inv: pair.clock.call_later(0.2, inv.ack)
-    handle = pair.cli.invoke(SRV, 1, b"ping", uak=True)
-    pair.clock.advance(0.5)
-    assert handle.state == wtp.DONE
-    assert pair.cli._rtt == {}
-
-
 def test_retry_intervals_double_and_stop_at_retry_interval_ms():
     pair = Pair()
     pair.responder = lambda inv: inv.respond(b"R")
@@ -636,30 +623,19 @@ def test_a_resent_invoke_during_the_ack_hold_gets_one_ack_at_once():
         ("snd", "Result", False), ("rcv", "Ack", False)]
 
 
-@pytest.mark.parametrize("tclass, uak", [(1, True), (2, True), (1, False)],
-                         ids=["class1-uak", "class2-uak", "class1"])
-def test_no_hold_on_ack_for_user_acked_or_class1_invokes(tclass, uak):
-    # A uak transaction is acknowledged by its user only (here at 60 ms),
-    # even when a resent Invoke reaches the responder first, at 31 ms.  A
-    # class-1 one is acknowledged on arrival, so no Ack is held.
+def test_no_hold_on_ack_for_class1_invokes():
+    # A class-1 Invoke is acknowledged on arrival, so no Ack is held and no
+    # Invoke is resent.
     pair = Pair(cli_policy=wtp.RetransmissionPolicy(retry_interval_ms=30))
     for bearer in (pair.cli_bearer, pair.srv_bearer):
         bearer.set_delivery_script(lambda dgram, index: [1])
-    if uak:
-        pair.responder = lambda inv: pair.clock.call_later(0.059, inv.ack)
-    handle = pair.cli.invoke(SRV, tclass, b"q", uak=uak)
+    handle = pair.cli.invoke(SRV, 1, b"q")
     pair.clock.advance(0.058)
-    srv = pair.node_events("srv")
-    if uak:
-        assert srv == [("rcv", "Invoke", False), ("rcv", "Invoke", True)]
-        pair.clock.advance(0.002)
-        assert pair.node_events("srv")[2:] == [("snd", "Ack", False)]
-    else:
-        assert srv == [("rcv", "Invoke", False), ("snd", "Ack", False)]
+    assert pair.node_events("srv") == [("rcv", "Invoke", False),
+                                       ("snd", "Ack", False)]
     assert len(pair.indications) == 1
-    if tclass == 1:
-        pair.clock.advance(0.01)
-        assert handle.state == wtp.DONE
+    pair.clock.advance(0.01)
+    assert handle.state == wtp.DONE
 
 
 @pytest.mark.parametrize("end", ["initiator", "responder"])
