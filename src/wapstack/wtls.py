@@ -10,7 +10,14 @@ no trailing tag (the Finished message embeds its MAC in the body).
 Key schedule: the four traffic keys are
 ``HMAC-SHA256(psk, label || client_nonce || server_nonce)`` with labels
 ``c-mac``, ``s-mac``, ``c-key``, ``s-key``.  Suite 0x00 is null-cipher
-plus MAC; suite 0x01 XORs an HMAC-derived keystream over the plaintext.
+plus MAC; suite 0x01 XORs a keystream over the plaintext whose 32-byte
+block n is ``HMAC-SHA256(key, "ks" || seq || n)``, n counting from 0.
+Blocks 1 onward are exactly one-iteration PBKDF2-HMAC-SHA256 with salt
+``"ks" || seq`` (RFC 8018 section 5.2 defines its block i as
+``HMAC(P, S || INT(i))``), so hashlib computes them in one call.  PBKDF2
+serves here only as a counter-mode HMAC, not as a password KDF.  Each
+session hashes its keys' HMAC pad blocks once; a record MAC then copies
+two hash states.
 
 Duplicate-rejection is a 64-entry sliding replay window per direction,
 checked only after the MAC verifies, so forged records cannot poison it.
@@ -127,22 +134,49 @@ def derive_key(psk: bytes, label: bytes, client_nonce: bytes,
                     hashlib.sha256).digest()
 
 
-def record_mac(mac_key: bytes, seq: int, content_type: int,
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
+class _HmacKey:
+    """An HMAC-SHA256 key whose inner and outer pad blocks (RFC 2104) are
+    hashed once, so each MAC costs two hash-state copies."""
+
+    __slots__ = ("key", "_inner", "_outer")
+
+    def __init__(self, key: bytes):
+        self.key = key
+        block = (hashlib.sha256(key).digest() if len(key) > 64
+                 else key).ljust(64, b"\0")
+        self._inner = hashlib.sha256(block.translate(_IPAD))
+        self._outer = hashlib.sha256(block.translate(_OPAD))
+
+    def digest(self, msg: bytes) -> bytes:
+        inner = self._inner.copy()
+        inner.update(msg)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+    def keystream(self, seq: int, length: int) -> bytes:
+        salt = b"ks" + struct.pack("!I", seq)
+        block0 = self.digest(salt + b"\0\0\0\0")
+        if length <= 32:
+            return block0[:length]
+        # PBKDF2's block i, counting from 1, is HMAC(key, salt || i)
+        return block0 + hashlib.pbkdf2_hmac("sha256", self.key, salt, 1,
+                                            length - 32)
+
+
+def record_mac(mac_key: _HmacKey, seq: int, content_type: int,
                plaintext: bytes) -> bytes:
-    msg = struct.pack("!IBH", seq, content_type, len(plaintext)) + plaintext
-    return hmac.new(mac_key, msg, hashlib.sha256).digest()
+    return mac_key.digest(struct.pack("!IBH", seq, content_type,
+                                      len(plaintext)) + plaintext)
 
 
 def keystream(traffic_key: bytes, seq: int, length: int) -> bytes:
-    """Block n is ``HMAC-SHA256(traffic_key, "ks" || seq || n)``; the key
-    and prefix are hashed once and copied for each block's counter."""
-    prefix = hmac.new(traffic_key, b"ks" + struct.pack("!I", seq), hashlib.sha256)
-    out = []
-    for block in range((length + 31) // 32):  # 32 bytes a block
-        mac = prefix.copy()
-        mac.update(struct.pack("!I", block))
-        out.append(mac.digest())
-    return b"".join(out)[:length]
+    """The first ``length`` bytes of suite 0x01's keystream for ``seq``."""
+    return _HmacKey(traffic_key).keystream(seq, length)
 
 
 def _xor(data: bytes, pad: bytes) -> bytes:
@@ -151,8 +185,8 @@ def _xor(data: bytes, pad: bytes) -> bytes:
             ^ int.from_bytes(pad, "big")).to_bytes(len(data), "big")
 
 
-def finished_mac(mac_key: bytes, transcript: bytes) -> bytes:
-    return hmac.new(mac_key, b"finished" + transcript, hashlib.sha256).digest()
+def finished_mac(mac_key: _HmacKey, transcript: bytes) -> bytes:
+    return mac_key.digest(b"finished" + transcript)
 
 
 class ReplayWindow:
@@ -193,10 +227,9 @@ class SecureSession:
         if role not in ("client", "server"):
             raise ValueError(f"role must be client or server, got {role!r}")
         self.suite = suite
-        c_mac = derive_key(psk, b"c-mac", client_nonce, server_nonce)
-        s_mac = derive_key(psk, b"s-mac", client_nonce, server_nonce)
-        c_key = derive_key(psk, b"c-key", client_nonce, server_nonce)
-        s_key = derive_key(psk, b"s-key", client_nonce, server_nonce)
+        c_mac, s_mac, c_key, s_key = (
+            _HmacKey(derive_key(psk, label, client_nonce, server_nonce))
+            for label in (b"c-mac", b"s-mac", b"c-key", b"s-key"))
         if role == "client":
             self.send_mac_key, self.send_key = c_mac, c_key
             self.recv_mac_key, self.recv_key = s_mac, s_key
@@ -213,15 +246,15 @@ class SecureSession:
         self.send_seq += 1
         mac = record_mac(self.send_mac_key, seq, content_type, plaintext)
         if self.suite == SUITE_STREAM_MAC:
-            body = _xor(plaintext, keystream(self.send_key, seq, len(plaintext)))
+            body = _xor(plaintext, self.send_key.keystream(seq, len(plaintext)))
         else:
             body = plaintext
         return WtlsRecord(content_type, seq, body, mac)
 
     def open(self, rec: WtlsRecord) -> bytes:
         if self.suite == SUITE_STREAM_MAC:
-            plaintext = _xor(rec.body, keystream(self.recv_key, rec.seq,
-                                                 len(rec.body)))
+            plaintext = _xor(rec.body, self.recv_key.keystream(rec.seq,
+                                                                len(rec.body)))
         else:
             plaintext = rec.body
         expected = record_mac(self.recv_mac_key, rec.seq, rec.content_type,
@@ -240,7 +273,10 @@ class SecureSession:
 
 
 def load_psk_file(path: str) -> dict[bytes, bytes]:
-    """Parse ``identity:hex-secret`` lines; blank lines and # comments ok."""
+    """Parse ``identity:hex-secret`` lines; blank lines and # comments ok.
+
+    A malformed line, bad hex or an empty secret raises ``ValueError``
+    naming ``path:line``."""
     table: dict[bytes, bytes] = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -254,6 +290,8 @@ def load_psk_file(path: str) -> dict[bytes, bytes]:
                 psk = bytes.fromhex(secret)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad hex secret") from None
+            if not psk:
+                raise ValueError(f"{path}:{lineno}: empty secret")
             table[identity.encode("ascii")] = psk
     return table
 

@@ -94,11 +94,13 @@ def test_wapgw_reports_bind_failure(capsys):
     (["--security", "full", "--psk-file", "{psk}"], None, "No such file"),
     (["--security", "full", "--psk-file", "{psk}"], "alice:zz\n",
      "bad hex secret"),
+    (["--security", "full", "--psk-file", "{psk}"], "alice:\n",
+     "empty secret"),
     (["--connectionless-port", "0"], None,
      "connectionless_port must be in 1-65535, got 0"),
     (["--listen", "70000"], None, "listen_port must be in 1-65535, got 70000"),
-], ids=["missing-psk-file", "malformed-psk-file", "connectionless-port-0",
-        "listen-70000"])
+], ids=["missing-psk-file", "malformed-psk-file", "empty-psk-secret",
+        "connectionless-port-0", "listen-70000"])
 def test_wapgw_config_error_exits_1_and_leaves_no_thread(
         tmp_path, capsys, flags, psk_text, message):
     psk = tmp_path / "psk.txt"

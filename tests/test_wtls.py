@@ -3,6 +3,7 @@
 import hashlib
 import hmac
 import random
+import re
 import struct
 import threading
 import time
@@ -72,22 +73,31 @@ def test_keystream_matches_one_hmac_per_block():
 
     key = bytes(range(32))
     for seq in (0, 1000, wtls.MAX_SEQ):
-        for length in range(1301):
+        for length in [*range(1301), 4096, 65462]:
             assert wtls.keystream(key, seq, length) == \
                 reference(key, seq, length), (seq, length)
 
 
 # SHA-256 of the sealed record, at seq 1000, for plaintexts on either side of
-# the 32-byte keystream block
+# the 32-byte keystream block, and up to 65,462 bytes: the largest body a
+# 65,507-byte UDP datagram carries after the WDP header, record header and MAC
 @pytest.mark.parametrize("suite, length, digest", [
     (wtls.SUITE_STREAM_MAC, 0, "6b2841b7eec0a1974b5bea4c890531ac47f019a21df850655d60169cdde1f1fb"),
     (wtls.SUITE_STREAM_MAC, 31, "ed5b97ccff1ca0aaf49a09cb8318f02fd884074d692e77457123dde3c25e2694"),
     (wtls.SUITE_STREAM_MAC, 32, "85eaeda2b1abc4a7431835fe85cdd561152a8df7cbb4d6ee96aa0368c70c90f9"),
     (wtls.SUITE_STREAM_MAC, 33, "85887420a8f8873bd70bd9dc90664f270881458f3f4610807043a937193ce76a"),
+    (wtls.SUITE_STREAM_MAC, 64, "8b258a3ddef0d872d9afcca41e82ff215b193456bfcbc54906ae9533af36f18f"),
+    (wtls.SUITE_STREAM_MAC, 65, "bbbdbd7a759eac772875dcfd8e7db860a9b362fbd9fb8b44c663faaf95015b24"),
+    (wtls.SUITE_STREAM_MAC, 1300, "c5d2b8530685c3a631fb2490689a6698fb883987821415fa0e27e0bc7f748654"),
+    (wtls.SUITE_STREAM_MAC, 65462, "19efc6670625f94452880ec0546a8fe5149698fd0e2ccd20c67979beb36c2fcd"),
     (wtls.SUITE_NULL_MAC, 0, "6b2841b7eec0a1974b5bea4c890531ac47f019a21df850655d60169cdde1f1fb"),
     (wtls.SUITE_NULL_MAC, 31, "c3a8eceb6230013ff51d3a645a1691de372ee388bb47f89b739fb764edf4d0dc"),
     (wtls.SUITE_NULL_MAC, 32, "d7275aad8bd8749e8a67cb3eb59949ea8552f93ef2e5bf974e4e589f16d17144"),
     (wtls.SUITE_NULL_MAC, 33, "230184b82d956be4fa5c5cb16d68b01408e4486c4f65f1847059995665e4b73e"),
+    (wtls.SUITE_NULL_MAC, 64, "92a339f1c5535cf7d331a570536bc22aaafa5c233651775b784d886d0edea0b8"),
+    (wtls.SUITE_NULL_MAC, 65, "5253e710d997b14de7fdd2b5c7efa26af8bc0e0a06bcd03886af3595cd8c86dc"),
+    (wtls.SUITE_NULL_MAC, 1300, "17b787f4e8fb6e43a1cce9864a282ec860eeb64df802f3242cf064703e3423b3"),
+    (wtls.SUITE_NULL_MAC, 65462, "3753f2168cc2947b2ab0883120194fee314be4839f1bd00e9b82bc107a67c2ac"),
 ])
 def test_sealed_record_known_answer(suite, length, digest):
     client, server = session_pair(suite)
@@ -182,6 +192,10 @@ def test_psk_file_parsing(tmp_path):
         wtls.load_psk_file(str(bad))
     bad.write_text("alice:zz\n")
     with pytest.raises(ValueError):
+        wtls.load_psk_file(str(bad))
+    bad.write_text("bob:a1b2c3\nalice:\n")
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(bad))}:2: empty secret$"):
         wtls.load_psk_file(str(bad))
 
 
