@@ -1,5 +1,9 @@
 """Datagram bearers beneath WDP: a simulated impaired channel and UDP.
 
+A bearer speaks the transport duck type of every layer above it: its
+receiver gets ``(src, payload)``, with a string address, and its
+``max_payload`` is the MTU.
+
 The simulated bearer applies loss, duplication, pairwise reordering and
 delay/jitter from a seeded RNG, so a fixed seed plus a fixed send schedule
 yields a fixed delivery trace.  Bit errors are modeled as whole-datagram
@@ -70,19 +74,12 @@ class ImpairmentProfile:
         return self
 
 
-@dataclass
-class RawDatagram:
-    src: str
-    dst: str
-    payload: bytes
-
-
 class Inbox:
     """Receive half of the transport duck type, shared by the bearers and
     WDP endpoints.
 
-    Each arrival goes to the receiver callback, or waits in a backlog for
-    ``recv`` until one is set.  Once closed, arrivals are dropped, and
+    Each arrival goes to ``receiver(src, payload)``, or waits in a backlog
+    for ``recv`` until one is set.  Once closed, arrivals are dropped, and
     ``recv`` on an empty backlog raises ``closed_error(name)``, a fresh
     instance each time.
     """
@@ -98,17 +95,17 @@ class Inbox:
         if self._closed:
             raise self._closed_error(self._name)
 
-    def _arrive(self, item) -> None:
+    def _arrive(self, src, payload: bytes) -> None:
         if self._closed:
             return
         receiver = self._receiver
         if receiver is None:
-            self._backlog.put(item)
+            self._backlog.put((src, payload))
         else:
-            receiver(item)
+            receiver(src, payload)
 
     def set_receiver(self, cb) -> None:
-        """Deliver via ``cb(item)`` instead of ``recv``; drains the backlog."""
+        """Deliver to ``cb(src, payload)``; drains the backlog."""
         self._receiver = cb
         if cb is not None:
             while True:
@@ -116,10 +113,10 @@ class Inbox:
                     item = self._backlog.get_nowait()
                 except queue.Empty:
                     return
-                cb(item)
+                cb(*item)
 
     def recv(self, timeout: float | None = None):
-        """Next arrival, or None when the wait times out."""
+        """Next ``(src, payload)``, or None when the wait times out."""
         if self._closed and self._backlog.empty():
             raise self._closed_error(self._name)
         try:
@@ -150,11 +147,11 @@ class SimNetwork:
         with self._lock:
             self._nodes.pop(addr, None)
 
-    def _deliver(self, dgram: RawDatagram) -> None:
+    def _deliver(self, src: str, dst: str, payload: bytes) -> None:
         with self._lock:
-            node = self._nodes.get(dgram.dst)
+            node = self._nodes.get(dst)
         if node is not None:
-            node._arrive(dgram)
+            node._arrive(src, payload)
 
 
 class SimBearer(Inbox):
@@ -164,24 +161,17 @@ class SimBearer(Inbox):
                  profile: ImpairmentProfile | None = None):
         super().__init__(BearerClosed, addr)
         self._network = network
-        self._addr = addr
+        self.local_addr = addr
         self._profile = (profile or ImpairmentProfile()).validate()
+        self.max_payload = self._profile.mtu_bytes
         self._rng = random.Random(self._profile.seed)
         self._lock = threading.Lock()
-        self._held: list[RawDatagram] | None = None
+        self._held: tuple[str, bytes, list[float]] | None = None
         self._send_index = 0
         self._script = None
 
-    @property
-    def local_addr(self) -> str:
-        return self._addr
-
-    @property
-    def mtu(self) -> int:
-        return self._profile.mtu_bytes
-
     def set_delivery_script(self, fn) -> None:
-        """Override random impairments with ``fn(dgram, send_index)``.
+        """Override random impairments with ``fn(payload, send_index)``.
 
         The script returns an iterable of delivery delays in milliseconds;
         an empty iterable drops the datagram.  Used for hand-computed trace
@@ -194,55 +184,49 @@ class SimBearer(Inbox):
         with self._lock:
             self._check_open()
             profile = self._profile
-            if len(payload) > profile.mtu_bytes:
+            if len(payload) > self.max_payload:
                 raise OversizeDatagram(
-                    f"payload {len(payload)} exceeds MTU {profile.mtu_bytes}")
-            dgram = RawDatagram(self._addr, dst, bytes(payload))
+                    f"payload {len(payload)} exceeds MTU {self.max_payload}")
+            payload = bytes(payload)
             index = self._send_index
             self._send_index += 1
 
+            held = None
             if self._script is not None:
-                copies = [(dgram, d) for d in self._script(dgram, index)]
-                held = None
+                delays = self._script(payload, index)
             else:
                 # Draw order is fixed (loss, dup, reorder, delays) so that a
                 # seed fully determines the trace.
-                copies = []
+                copies = 0
                 if self._rng.random() >= profile.loss_prob:
-                    copies.append(dgram)
-                    if self._rng.random() < profile.dup_prob:
-                        copies.append(dgram)
+                    copies = 2 if self._rng.random() < profile.dup_prob else 1
                 reorder = self._rng.random() < profile.reorder_prob
-                copies = [(d, profile.delay_ms + self._rng.uniform(0.0, profile.jitter_ms))
-                          for d in copies]
-                held = None
-                if self._held is not None:
-                    held = self._held
-                    self._held = None
-                elif copies and reorder:
-                    self._held = copies
+                delays = [profile.delay_ms
+                          + self._rng.uniform(0.0, profile.jitter_ms)
+                          for _ in range(copies)]
+                held, self._held = self._held, None
+                if held is None and delays and reorder:
+                    self._held = (dst, payload, delays)
                     return
-        for d, delay in copies:
-            self._schedule(d, delay)
+        self._schedule(dst, payload, delays)
         if held:
-            for d, delay in held:
-                self._schedule(d, delay)
+            self._schedule(*held)
 
-    def _schedule(self, dgram: RawDatagram, delay_ms: float) -> None:
-        self._network.clock.call_later(delay_ms / 1000.0,
-                                       self._network._deliver, dgram)
+    def _schedule(self, dst: str, payload: bytes, delays) -> None:
+        for delay_ms in delays:
+            self._network.clock.call_later(delay_ms / 1000.0,
+                                           self._network._deliver,
+                                           self.local_addr, dst, payload)
 
     def close(self) -> None:
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            held = self._held
-            self._held = None
+            held, self._held = self._held, None
         if held:
-            for d, delay in held:
-                self._schedule(d, delay)
-        self._network._detach(self._addr)
+            self._schedule(*held)
+        self._network._detach(self.local_addr)
 
 
 def _parse_udp_addr(addr: str) -> tuple[str, int]:
@@ -257,7 +241,7 @@ class UdpBearer(Inbox):
 
     def __init__(self, bind: tuple[str, int] = ("127.0.0.1", 0),
                  mtu: int = DEFAULT_MTU):
-        self._mtu = mtu
+        self.max_payload = mtu
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             self._sock.bind(bind)
@@ -265,25 +249,17 @@ class UdpBearer(Inbox):
             self._sock.close()
             raise
         host, port = self._sock.getsockname()
-        self._addr = f"{host}:{port}"
-        super().__init__(BearerClosed, self._addr)
+        self.local_addr = f"{host}:{port}"
+        super().__init__(BearerClosed, self.local_addr)
         self._thread = threading.Thread(target=self._read_loop, daemon=True,
                                         name=f"udp-bearer-{port}")
         self._thread.start()
 
-    @property
-    def local_addr(self) -> str:
-        return self._addr
-
-    @property
-    def mtu(self) -> int:
-        return self._mtu
-
     def send(self, dst: str, payload: bytes) -> None:
         self._check_open()
-        if len(payload) > self._mtu:
+        if len(payload) > self.max_payload:
             raise OversizeDatagram(
-                f"payload {len(payload)} exceeds MTU {self._mtu}")
+                f"payload {len(payload)} exceeds MTU {self.max_payload}")
         self._sock.sendto(payload, _parse_udp_addr(dst))
 
     def _read_loop(self) -> None:
@@ -298,8 +274,7 @@ class UdpBearer(Inbox):
                 return        # even an empty one, has a source address
             host, port = addr
             try:
-                self._arrive(RawDatagram(f"{host}:{port}", self._addr,
-                                         view[:n].tobytes()))
+                self._arrive(f"{host}:{port}", view[:n].tobytes())
             except Exception:  # a receiver bug costs one datagram, not the reader
                 log.exception("receiver failed on a datagram from %s:%d",
                               host, port)

@@ -191,7 +191,8 @@ class UserAgent:
         if self.session is not None and self.session.state == wsp.CONNECTED:
             try:
                 self.session.disconnect()
-            except Exception:  # closing goes on; the gateway's TTL ends it
+            except Exception:  # closing goes on; the gateway keeps the
+                # session for good, as its TTL evicts only suspended ones
                 log.warning("disconnect of session %d failed",
                             self.session.session_id, exc_info=True)
         self.provider.close()

@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bearer import Inbox, OversizeDatagram, RawDatagram
+from .bearer import Inbox, OversizeDatagram
 
 HEADER_FORMAT = "!HHH"
 HEADER_SIZE = struct.calcsize(HEADER_FORMAT)  # 6 bytes
@@ -132,9 +132,9 @@ class WdpStack:
         with self._lock:
             self._endpoints.pop(port, None)
 
-    def _on_datagram(self, raw: RawDatagram) -> None:
+    def _on_datagram(self, src: str, data: bytes) -> None:
         try:
-            dgram = decode_datagram(raw.payload)
+            dgram = decode_datagram(data)
         except WdpError:
             self.dropped_count += 1
             return
@@ -143,7 +143,7 @@ class WdpStack:
         if endpoint is None:
             self.dropped_count += 1
             return
-        endpoint._arrive((WdpAddress(raw.src, dgram.src_port), dgram.payload))
+        endpoint._arrive(WdpAddress(src, dgram.src_port), dgram.payload)
 
     def close(self) -> None:
         with self._lock:
@@ -154,8 +154,7 @@ class WdpStack:
 
 
 class WdpEndpoint(Inbox):
-    """One bound port; safe for concurrent send and receive.  ``recv``
-    returns ``(src, payload)``."""
+    """One bound port; safe for concurrent send and receive."""
 
     def __init__(self, stack: WdpStack, port: int):
         super().__init__(EndpointClosed, f"port {port}")
@@ -164,7 +163,7 @@ class WdpEndpoint(Inbox):
 
     @property
     def max_payload(self) -> int:
-        return self._stack.bearer.mtu - HEADER_SIZE
+        return self._stack.bearer.max_payload - HEADER_SIZE
 
     def send(self, dst: WdpAddress, payload: bytes) -> None:
         self._check_open()
@@ -174,10 +173,6 @@ class WdpEndpoint(Inbox):
                 f"(MTU minus WDP header)")
         data = encode_datagram(WdpDatagram(self.port, dst.port, bytes(payload)))
         self._stack.bearer.send(dst.host, data)
-
-    def set_receiver(self, cb) -> None:
-        """Deliver via ``cb(src, payload)``; drains the backlog."""
-        super().set_receiver(None if cb is None else lambda item: cb(*item))
 
     def close(self) -> None:
         if self._closed:

@@ -21,10 +21,10 @@ def drain(clock, bearer):
     clock.run_until_idle()
     out = []
     while True:
-        dgram = bearer.recv(timeout=0)
-        if dgram is None:
+        item = bearer.recv(timeout=0)
+        if item is None:
             return out
-        out.append(dgram)
+        out.append(item)
 
 
 @pytest.mark.parametrize("bad", [
@@ -45,9 +45,7 @@ def test_clean_delivery_preserves_bytes_and_addresses():
     _, a, b = make_pair(clock)
     a.send("b", b"\x00\xffpayload")
     got = drain(clock, b)
-    assert len(got) == 1
-    assert got[0].payload == b"\x00\xffpayload"
-    assert got[0].src == "a" and got[0].dst == "b"
+    assert got == [("a", b"\x00\xffpayload")]
 
 
 def test_delay_and_jitter_schedule_in_window():
@@ -73,7 +71,7 @@ def test_duplication_delivers_two_copies():
     _, a, b = make_pair(clock, ImpairmentProfile(dup_prob=1.0))
     a.send("b", b"x")
     got = drain(clock, b)
-    assert [d.payload for d in got] == [b"x", b"x"]
+    assert got == [("a", b"x"), ("a", b"x")]
 
 
 def test_reordering_swaps_adjacent_datagrams():
@@ -84,7 +82,7 @@ def test_reordering_swaps_adjacent_datagrams():
     assert b.recv(timeout=0) is None  # held until the next send
     a.send("b", b"2")
     got = drain(clock, b)
-    assert [d.payload for d in got] == [b"2", b"1"]
+    assert got == [("a", b"2"), ("a", b"1")]
 
 
 def test_close_releases_held_datagram():
@@ -93,7 +91,7 @@ def test_close_releases_held_datagram():
     a.send("b", b"1")
     a.close()
     got = drain(clock, b)
-    assert [d.payload for d in got] == [b"1"]
+    assert got == [("a", b"1")]
 
 
 def test_seed_determines_delivery_trace():
@@ -106,7 +104,7 @@ def test_seed_determines_delivery_trace():
         for i in range(50):
             a.send("b", bytes([i]))
         a.close()
-        return [d.payload for d in drain(clock, b)]
+        return drain(clock, b)
 
     assert run() == run()
 
@@ -114,11 +112,11 @@ def test_seed_determines_delivery_trace():
 def test_delivery_script_overrides_randomness():
     clock = VirtualClock()
     _, a, b = make_pair(clock, ImpairmentProfile(loss_prob=1.0))
-    a.set_delivery_script(lambda dgram, index: [] if index == 0 else [5, 5])
+    a.set_delivery_script(lambda payload, index: [] if index == 0 else [5, 5])
     a.send("b", b"dropped")
     a.send("b", b"doubled")
     got = drain(clock, b)
-    assert [d.payload for d in got] == [b"doubled", b"doubled"]
+    assert got == [("a", b"doubled"), ("a", b"doubled")]
     a.set_delivery_script(None)
     a.send("b", b"lost again")
     assert drain(clock, b) == []
@@ -148,11 +146,11 @@ def test_set_receiver_drains_backlog():
     a.send("b", b"2")
     clock.run_until_idle()
     seen = []
-    b.set_receiver(lambda d: seen.append(d.payload))
-    assert seen == [b"1", b"2"]
+    b.set_receiver(lambda src, payload: seen.append((src, payload)))
+    assert seen == [("a", b"1"), ("a", b"2")]
     a.send("b", b"3")
     clock.run_until_idle()
-    assert seen == [b"1", b"2", b"3"]
+    assert seen == [("a", b"1"), ("a", b"2"), ("a", b"3")]
 
 
 def test_udp_loopback_round_trip():
@@ -161,10 +159,9 @@ def test_udp_loopback_round_trip():
     try:
         a.send(b.local_addr, b"ping")
         got = b.recv(timeout=2.0)
-        assert got is not None and got.payload == b"ping"
-        b.send(got.src, b"pong")
-        back = a.recv(timeout=2.0)
-        assert back is not None and back.payload == b"pong"
+        assert got == (a.local_addr, b"ping")
+        b.send(got[0], b"pong")
+        assert a.recv(timeout=2.0) == (b.local_addr, b"pong")
     finally:
         a.close()
         b.close()
@@ -174,8 +171,8 @@ def test_udp_reader_survives_a_raising_receiver(caplog):
     a, b = UdpBearer(), UdpBearer()
     seen = []
 
-    def receiver(dgram):
-        seen.append(dgram.payload)
+    def receiver(src, payload):
+        seen.append(payload)
         if len(seen) == 1:
             raise RuntimeError("receiver bug")
 
@@ -218,14 +215,11 @@ def test_udp_empty_and_largest_datagrams_arrive_whole():
     a, b = UdpBearer(mtu=65507), UdpBearer()
     try:
         a.send(b.local_addr, b"")
-        empty = b.recv(timeout=2.0)
-        assert empty is not None and empty.payload == b""
-        assert empty.src == a.local_addr
+        assert b.recv(timeout=2.0) == (a.local_addr, b"")
         # the reader is still running after the empty datagram
         largest = bytes(range(256)) * 255 + b"x" * 227  # 65,507 B, UDP's limit
         a.send(b.local_addr, largest)
-        got = b.recv(timeout=2.0)
-        assert got is not None and got.payload == largest
+        assert b.recv(timeout=2.0) == (a.local_addr, largest)
     finally:
         a.close()
         b.close()
@@ -238,7 +232,6 @@ def _sim_inbox():
     _, a, b = make_pair(clock)
     return SimpleNamespace(send=lambda p: a.send("b", p), target=b,
                            settle=clock.run_until_idle,
-                           payload=lambda dgram: dgram.payload,
                            closed_error=BearerClosed, owned=[a, b])
 
 
@@ -251,8 +244,7 @@ def _udp_inbox():
             time.sleep(0.005)
 
     return SimpleNamespace(send=lambda p: a.send(b.local_addr, p), target=b,
-                           settle=settle, payload=lambda dgram: dgram.payload,
-                           closed_error=BearerClosed, owned=[a, b])
+                           settle=settle, closed_error=BearerClosed, owned=[a, b])
 
 
 def _wdp_inbox():
@@ -262,7 +254,6 @@ def _wdp_inbox():
     b = WdpStack(net.endpoint("b")).bind(200)
     return SimpleNamespace(send=lambda p: a.send(WdpAddress("b", 200), p),
                            target=b, settle=clock.run_until_idle,
-                           payload=lambda item: item[1],
                            closed_error=EndpointClosed, owned=[a, b])
 
 
@@ -274,11 +265,9 @@ def test_inbox_backlog_recv_and_close(make):
         for payload in (b"1", b"2", b"3"):
             case.send(payload)
         case.settle()
-        assert case.payload(case.target.recv(timeout=0)) == b"1"
+        assert case.target.recv(timeout=0)[1] == b"1"
         seen = []
-        # a bearer receiver gets one datagram, a WDP one (src, payload)
-        case.target.set_receiver(lambda *args: seen.append(
-            case.payload(args[0] if len(args) == 1 else args)))
+        case.target.set_receiver(lambda src, payload: seen.append(payload))
         assert seen == [b"2", b"3"]
         case.target.set_receiver(None)
         assert case.target.recv(timeout=0) is None

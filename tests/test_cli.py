@@ -5,6 +5,7 @@ import logging
 import re
 import threading
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -90,6 +91,11 @@ def test_wapgw_reports_bind_failure(capsys):
         holder.close()
 
 
+class _SetEvent(threading.Event):
+    def wait(self, timeout=None):
+        return True
+
+
 @pytest.mark.parametrize("flags,psk_text,message", [
     (["--security", "full", "--psk-file", "{psk}"], None, "No such file"),
     (["--security", "full", "--psk-file", "{psk}"], "alice:zz\n",
@@ -102,7 +108,12 @@ def test_wapgw_reports_bind_failure(capsys):
 ], ids=["missing-psk-file", "malformed-psk-file", "empty-psk-secret",
         "connectionless-port-0", "listen-70000"])
 def test_wapgw_config_error_exits_1_and_leaves_no_thread(
-        tmp_path, capsys, flags, psk_text, message):
+        tmp_path, capsys, monkeypatch, flags, psk_text, message):
+    # a config wrongly accepted would serve until a signal; with no signal
+    # handlers and a stop event that never blocks, wapgw_main closes the
+    # gateway and returns 0 within seconds, and the assert below fails
+    monkeypatch.setattr(cli.signal, "signal", lambda *_: None)
+    monkeypatch.setattr(cli, "threading", SimpleNamespace(Event=_SetEvent))
     psk = tmp_path / "psk.txt"
     if psk_text is not None:
         psk.write_text(psk_text)

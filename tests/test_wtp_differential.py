@@ -39,7 +39,7 @@ from collections import Counter
 from unittest import mock
 
 from wapstack import wdp, wtp
-from wapstack.bearer import ImpairmentProfile, RawDatagram, SimNetwork
+from wapstack.bearer import ImpairmentProfile, SimNetwork
 from wapstack.clock import VirtualClock
 from wapstack.wdp import WdpAddress, WdpStack
 
@@ -62,7 +62,7 @@ class Scenario:
         self.clock = clock = VirtualClock()
         self.net = SimNetwork(clock)
         self.log: list[tuple] = []
-        self.sent: list[tuple[float, RawDatagram]] = []
+        self.sent: list[tuple[float, tuple[str, str, bytes]]] = []
         policy = wtp.RetransmissionPolicy(
             retry_interval_ms=rng.choice([100, 300]),
             max_retrans=rng.choice([3, 8]),
@@ -94,8 +94,8 @@ class Scenario:
         send = bearer.send
 
         def recording_send(dst, payload):
-            self.sent.append((self.clock.now(), RawDatagram(bearer.local_addr,
-                                                            dst, payload)))
+            self.sent.append((self.clock.now(),
+                              (bearer.local_addr, dst, payload)))
             self.log.append(("dgram", self.clock.now(), bearer.local_addr, dst,
                              payload.hex()))
             send(dst, payload)
@@ -149,15 +149,16 @@ class Scenario:
         now = self.clock.now()
         last = {}
         for _, raw in self.sent:
-            if {raw.src, raw.dst} == {client, "srv"}:
-                pdu = _pdu_of(raw.payload)
+            src, dst, payload = raw
+            if {src, dst} == {client, "srv"}:
+                pdu = _pdu_of(payload)
                 if pdu.tid == handle.tid and pdu.pdu_type in (wtp.PDU_INVOKE,
                                                               wtp.PDU_RESULT):
                     last[pdu.pdu_type] = raw
         for raw in last.values():
             for offset in (-0.03, -0.001, 0.001, 0.03):
                 self.clock.call_later(self.linger + offset, self.net._deliver,
-                                      raw)
+                                      *raw)
         self.log.append(("done", now, client, handle.tid, handle.state))
 
     def run(self) -> None:

@@ -67,6 +67,27 @@ def test_class1_completes_on_provider_ack():
                                        ("snd", "Ack", False)]
 
 
+def test_class2_round_trip_runs_straight_on_a_bearer():
+    # a bearer speaks the transport duck type too, so WTP needs no WDP layer
+    clock = VirtualClock()
+    net = SimNetwork(clock)
+    cli = wtp.WtpProvider(net.endpoint("cli"), clock)
+    srv = wtp.WtpProvider(net.endpoint("srv"), clock)
+    sources = []
+
+    def respond(inv):
+        sources.append(inv.src)
+        inv.respond(b"R:" + inv.payload)
+
+    srv.on_invoke = respond
+    handle = cli.invoke("srv", 2, b"q")
+    clock.advance(0.01)
+    assert handle.done and handle.result == b"R:q"
+    assert sources == ["cli"]
+    cli.close()
+    srv.close()
+
+
 def test_class2_prompt_result_piggybacks_the_ack():
     pair = Pair()
     pair.responder = lambda inv: inv.respond(b"R:" + inv.payload)
