@@ -125,8 +125,12 @@ def translate_request(msg: wsp.WspMessage) -> HttpExchange:
     """Expand a compact Get/Post into the HTTP request half."""
     if msg.method is None:
         raise BadUri(f"pdu type {msg.pdu_type:#04x} is not a method")
-    parts = urllib.parse.urlsplit(msg.uri)
-    if parts.scheme != "http" or not parts.netloc:
+    try:
+        parts = urllib.parse.urlsplit(msg.uri)
+        parts.port  # raises on a port that is not a number in 0-65535
+    except ValueError as exc:
+        raise BadUri(f"malformed URL {msg.uri!r}: {exc}") from None
+    if parts.scheme != "http" or not parts.hostname:
         raise BadUri(f"need an absolute http URL, got {msg.uri!r}")
     headers = list(msg.headers) + [VIA_HEADER]
     return HttpExchange(msg.method, msg.uri, headers, msg.body)

@@ -200,7 +200,10 @@ class ReplayWindow:
     def accept(self, seq: int) -> bool:
         if seq > self._highest:
             shift = seq - self._highest
-            self._mask = ((self._mask << shift) | 1) & ((1 << self.size) - 1)
+            # a jump past the window clears it without building a number
+            # as wide as the jump
+            self._mask = (((self._mask << shift) | 1) & ((1 << self.size) - 1)
+                          if shift < self.size else 1)
             self._highest = seq
             return True
         offset = self._highest - seq

@@ -59,18 +59,20 @@ linger still outlasts every retransmitted Invoke.
 Completed records linger for ``linger_ms`` so duplicate PDUs re-trigger
 retransmissions but never a second user indication.  Records finish in time
 order and all linger equally long, so each provider keeps one FIFO of
-``(deadline, table, key)`` in finishing order and one clock timer armed for
-its head; when it fires, every record that is due is forgotten and the timer
-is armed for the next.  A finished initiator record is swapped for a slim
-``_Finished`` entry (tid, class, peer, state), which is all a duplicate
-Result needs to be answered with Ack(rid); the user's ``TransactionHandle``,
-and the result it holds, are not kept alive by the provider.  A finished
-responder record is likewise swapped for a ``_FinishedInvocation``, without
-the Invoke payload.
+``(deadline, table, key)`` in finishing order and no timer: each entry point
+that reads the tables first forgets every record whose deadline has come.
+So an idle provider keeps its last ``linger_ms`` of records until its next
+event or ``close()``, as much as it holds under load.  A finished initiator
+record is swapped for a slim ``_Finished`` entry (tid, class, peer, state),
+which is all a duplicate Result needs to be answered with Ack(rid); the
+user's ``TransactionHandle``, and the result it holds, are not kept alive by
+the provider.  A finished responder record is likewise swapped for a
+``_FinishedInvocation``, without the Invoke payload.
 """
 
 from __future__ import annotations
 
+import logging
 import struct
 import threading
 from collections import deque
@@ -99,6 +101,8 @@ ACK_DELAY_MS = 100  # the responder's hold on its automatic Ack (see above)
 MIN_RTO_MS = 50     # the floor on a measured retry interval (plus SRTT on
                     # an initiator)
 MAX_PEERS = 1024    # round-trip estimates kept; the least recently sampled go
+
+log = logging.getLogger(__name__)
 
 
 class WtpError(Exception):
@@ -412,7 +416,6 @@ class WtpProvider:
         self._initiator: dict[int, TransactionHandle | _Finished] = {}
         self._responder: dict[tuple, Invocation | _FinishedInvocation] = {}
         self._lingering: deque[tuple[float, dict, object]] = deque()
-        self._linger_timer = None  # armed for the head of _lingering
         # peer -> (SRTT, RTTVAR in ms, RTO backoff), least recently sampled
         # first
         self._rtt: dict[object, tuple[float, float, int]] = {}
@@ -440,9 +443,6 @@ class WtpProvider:
             if tid not in self._initiator:
                 return tid
         raise WtpError("no free tids")
-
-    def _seconds(self, ms: int) -> float:
-        return ms / 1000.0
 
     def _retry_delay(self, txn, peer) -> float:
         """Seconds until ``txn``'s next retry: RFC 6298's SRTT + 4 RTTVAR
@@ -499,8 +499,13 @@ class WtpProvider:
         """Send ``pdu``, keep its rid-flagged copy on ``txn`` and resend that
         after each retry delay until ``txn``'s timer is stopped or, at a
         retry, (``max_retrans`` + 1) x ``retry_interval_ms`` have passed
-        since this first send, which aborts ``txn``."""
-        self._send(dst, pdu)
+        since this first send, which aborts ``txn``.  If this first send
+        raises, ``txn`` is aborted with that error, which is raised again."""
+        try:
+            self._send(dst, pdu)
+        except Exception as exc:
+            self._finish(txn, ABORTED, exc)
+            raise
         txn.first_sent = txn.sent_at = self._clock.now()
         pdu.rid = True  # the trace event above has the first-send flag
         txn.resend = pdu
@@ -524,7 +529,11 @@ class WtpProvider:
             txn.retransmits += 1
             txn.sent_at = None
             self._back_off(dst)
-            self._send(dst, txn.resend)
+            try:
+                self._send(dst, txn.resend)
+            except Exception as exc:  # as good as lost: the deadline stands
+                log.warning("tid %d: resend to %s failed: %s", txn.tid, dst,
+                            exc, exc_info=True)
             txn.timer = self._clock.call_later(
                 self._retry_delay(txn, dst), self._on_retry, txn, dst)
 
@@ -543,24 +552,16 @@ class WtpProvider:
         else:
             table, key = self._responder, (txn.src, txn.tid)
             table[key] = _FinishedInvocation(txn)
-        linger = self._seconds(self.policy.linger_ms)
-        self._lingering.append((self._clock.now() + linger, table, key))
-        if self._linger_timer is None:
-            self._linger_timer = self._clock.call_later(linger, self._on_linger)
+        self._lingering.append(
+            (self._clock.now() + self.policy.linger_ms / 1000.0, table, key))
 
-    def _on_linger(self) -> None:
-        """Forget every lingering record that is due, then arm the timer for
-        the next one."""
-        with self._lock:
-            if self._closed:
-                return
-            lingering, now = self._lingering, self._clock.now()
-            while lingering and lingering[0][0] <= now:
-                _, table, key = lingering.popleft()
-                table.pop(key, None)
-            self._linger_timer = (
-                self._clock.call_later(lingering[0][0] - now, self._on_linger)
-                if lingering else None)
+    def _forget_due(self) -> None:
+        """Forget every lingering record whose deadline has come; under the
+        lock, before any read of ``_initiator`` or ``_responder``."""
+        lingering, now = self._lingering, self._clock.now()
+        while lingering and lingering[0][0] <= now:
+            _, table, key = lingering.popleft()
+            table.pop(key, None)
 
     # --- initiator API ------------------------------------------------------
 
@@ -573,6 +574,7 @@ class WtpProvider:
         with self._lock:
             if self._closed:
                 raise WtpError("provider closed")
+            self._forget_due()
             tid = self._alloc_tid()
             handle = TransactionHandle(self, tid, tclass, dst)
             pdu = WtpPdu(PDU_INVOKE, tid, tclass=tclass, payload=payload)
@@ -602,6 +604,7 @@ class WtpProvider:
             raise OversizePayload(
                 f"result payload {len(payload)} exceeds transport budget")
         with self._lock:
+            self._forget_due()
             txn = self._responder.get((src, tid))
             if txn is None:
                 raise UnknownTid(f"tid {tid} from {src}")
@@ -615,6 +618,7 @@ class WtpProvider:
 
     def _abort_responder(self, src, tid: int, reason: int) -> None:
         with self._lock:
+            self._forget_due()
             txn = self._responder.get((src, tid))
             if txn is None:
                 raise UnknownTid(f"tid {tid} from {src}")
@@ -637,6 +641,7 @@ class WtpProvider:
         with self._lock:
             if self._closed:
                 return
+            self._forget_due()
             try:
                 parts = split_pdus(data)
             except MalformedConcat:
@@ -705,7 +710,7 @@ class WtpProvider:
             self._finish(txn, DONE)
         else:  # class 2
             txn.timer = self._clock.call_later(
-                self._seconds(ACK_DELAY_MS), self._on_ack_delay, txn)
+                ACK_DELAY_MS / 1000.0, self._on_ack_delay, txn)
         if self.on_invoke is not None:
             self.on_invoke(txn)
 
@@ -746,9 +751,6 @@ class WtpProvider:
                        if isinstance(h, TransactionHandle)]
             for txn in (*handles, *self._responder.values()):
                 _stop(txn)
-            if self._linger_timer is not None:
-                self._linger_timer.cancel()
-                self._linger_timer = None
             self._lingering.clear()
             self._initiator.clear()
             self._responder.clear()

@@ -30,7 +30,9 @@ def test_translate_request_expands_and_adds_via():
     assert ("Accept", "text/vnd.wap.wml") in ex.request_headers
 
 
-@pytest.mark.parametrize("uri", ["ftp://h/x", "/relative", "http://", "junk"])
+@pytest.mark.parametrize("uri", ["ftp://h/x", "/relative", "http://", "junk",
+                                 "http://[::1/x", "http://h:99999/x",
+                                 "http://h:abc/x", "http://:80/x"])
 def test_translate_request_rejects_non_http_urls(uri):
     with pytest.raises(gw.BadUri):
         gw.translate_request(wsp.WspMessage(wsp.PDU_GET, uri=uri))
@@ -160,7 +162,9 @@ def test_end_to_end_error_mapping(real_clock, stub_origin):
     service, ua = make_rig(real_clock)
     try:
         assert ua.fetch(origin.url + "/missing").reply.status == 404
-        assert ua.fetch("ftp://nope/x").reply.status == 400
+        for uri in ("ftp://nope/x", "http://[::1/x", "http://h:99999/x",
+                    "http://h:abc/x"):
+            assert ua.fetch(uri).reply.status == 400
         assert ua.fetch("http://127.0.0.1:1/x").reply.status == 502
         assert ua.fetch(origin.url + "/bad").reply.status == 502
     finally:

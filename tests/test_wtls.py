@@ -7,6 +7,7 @@ import re
 import struct
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -117,6 +118,26 @@ def test_replay_window_semantics():
     assert win.accept(100)
     assert not win.accept(92)         # older than the window
     assert win.accept(93)             # oldest slot still inside
+
+
+def test_a_far_sequence_jump_costs_no_more_than_a_near_one():
+    # the window is a bitmask of `size` bits, so a jump of 2^24 must not
+    # build a 2^24-bit integer on the way
+    client, server = session_pair(wtls.SUITE_STREAM_MAC)
+    assert server.open(client.seal(wtls.CONTENT_APPDATA, b"first")) == b"first"
+    client.send_seq = 1 << 24
+    far = client.seal(wtls.CONTENT_APPDATA, b"far")
+    tracemalloc.start()
+    try:
+        assert server.open(far) == b"far"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
+    win = server.window  # the jump left only the new record's bit set
+    assert not win.accept(1 << 24) and not win.accept(0)
+    assert win.accept((1 << 24) - 1) and win.accept((1 << 24) - win.size + 1)
+    assert not win.accept((1 << 24) - win.size)
 
 
 @pytest.mark.parametrize("suite", [wtls.SUITE_NULL_MAC, wtls.SUITE_STREAM_MAC])

@@ -1,5 +1,6 @@
 """Transaction state machines on a virtual clock: deterministic and fast."""
 
+import logging
 import threading
 import time
 import weakref
@@ -12,6 +13,7 @@ from wapstack.clock import VirtualClock
 from wapstack.wdp import WdpAddress, WdpStack
 
 SRV = WdpAddress("srv", 2000)
+CLI = WdpAddress("cli", 1000)
 
 
 class Pair:
@@ -434,12 +436,15 @@ def test_duplicate_result_after_handle_dropped_gets_ack():
 
 
 def test_each_record_is_forgotten_linger_ms_after_it_finished():
-    # Class-1 transactions over a link with no delay finish at the instant
+    # Class-2 transactions over a link with no delay finish at the instant
     # they are invoked.  Times are multiples of 1/64 s, so the clock's sums
-    # are exact.
+    # are exact.  While a record lingers, a replayed Result gets Ack(rid)
+    # and a late respond() or abort() finds it finished; once it is
+    # forgotten, the Result is dropped and both raise UnknownTid.
     linger = 0.5
     policy = wtp.RetransmissionPolicy(linger_ms=int(linger * 1000))
     pair = Pair(cli_policy=policy, srv_policy=policy)
+    pair.responder = lambda inv: inv.respond(b"R")
     starts, t = [], 0.0
     for n in range(20):  # staggered, and spanning several lingers
         starts.append(t)
@@ -452,21 +457,31 @@ def test_each_record_is_forgotten_linger_ms_after_it_finished():
     tids, finished = {}, {}
     for when, what, n in timeline:
         pair.clock.advance(when - pair.clock.now())
-        # one linger timer per provider, however many records linger
-        assert pair.clock.pending() <= 2
+        assert pair.clock.pending() == 0  # lingering records hold no timer
         if what == "invoke":
-            handle = pair.cli.invoke(SRV, 1, bytes([n]))
+            handle = pair.cli.invoke(SRV, 2, bytes([n]))
             handle.add_done_callback(
                 lambda h: finished.setdefault(h.tid, pair.clock.now()))
             tids[n] = handle.tid
             continue
         tid = tids[n]
         assert finished[tid] == starts[n]
-        responder_keys = {(src.host, t) for src, t in pair.srv._responder}
         lingering = what == "lingers"
-        assert (tid in pair.cli._initiator) is lingering
-        assert (("cli", tid) in responder_keys) is lingering
+        pair.events.clear()
+        pair.cli._on_datagram(SRV, wtp.encode_pdu(
+            wtp.WtpPdu(wtp.PDU_RESULT, tid, rid=True, payload=b"R")))
+        assert pair.events == [("cli", "rcv", "Result", True)] + (
+            [("cli", "snd", "Ack", True)] if lingering else [])
+        # respond() and abort() take turns, so each is the first to read
+        # the responder table after some record's deadline
+        with pytest.raises(wtp.UnknownTid if not lingering else
+                           wtp.AlreadyCompleted if n % 2 else wtp.WrongState):
+            if n % 2:
+                pair.indications[n].abort()
+            else:
+                pair.srv.respond(CLI, tid, b"late")
     assert pair.clock.pending() == 0
+    assert len(pair.indications) == 20
 
 
 def test_close_during_linger_leaves_no_timer():
@@ -475,18 +490,19 @@ def test_close_during_linger_leaves_no_timer():
     handles = [pair.cli.invoke(SRV, 2, bytes([i])) for i in range(5)]
     pair.clock.advance(1.0)
     assert all(h.done for h in handles)
-    assert pair.clock.pending() > 0  # records still linger
+    assert pair.clock.pending() == 0  # lingering records hold no timer
+    with pytest.raises(wtp.WrongState):  # the records still linger
+        pair.srv.respond(CLI, handles[0].tid, b"late")
     pair.cli.close()
     pair.srv.close()
     assert pair.clock.pending() == 0
+    assert not pair.cli._initiator and not pair.srv._responder
 
 
 # --- round-trip estimation ----------------------------------------------------
 # Delays are hand-set by delivery scripts (milliseconds per datagram); the
 # estimate is RFC 6298's: a first sample R gives SRTT = R, RTTVAR = R/2, and a
 # later R' gives RTTVAR = 3/4 RTTVAR + 1/4 |SRTT - R'|, SRTT = 7/8 SRTT + 1/8 R'.
-
-CLI = WdpAddress("cli", 1000)
 
 
 def test_rtt_estimate_after_the_first_and_second_sample():
@@ -767,3 +783,76 @@ def test_round_trip_estimates_are_bounded_per_provider():
     # the least recently sampled are evicted first
     assert list(provider._rtt) == sources[-wtp.MAX_PEERS:]
     provider.close()
+
+
+
+# --- sends that raise -------------------------------------------------------------
+
+class _FailingSink(_Sink):
+    """A sink whose ``send`` raises ``OSError`` while ``failing`` is set."""
+
+    failing = False
+
+    def send(self, dst, payload):
+        if self.failing:
+            raise OSError("network is unreachable")
+
+
+def test_an_invoke_whose_send_raises_ends_aborted_and_frees_its_tid():
+    transport = _FailingSink()
+    transport.failing = True
+    clock = VirtualClock()
+    cli = wtp.WtpProvider(transport, clock,
+                          wtp.RetransmissionPolicy(linger_ms=500))
+    with pytest.raises(OSError):
+        cli.invoke("srv", 2, b"q")
+    assert clock.pending() == 0
+    assert [h.state for h in cli._initiator.values()] == [wtp.ABORTED]
+    # the tid is held for linger_ms, as any finished transaction's is
+    clock.advance(0.5)
+    transport.failing = False
+    handle = cli.invoke("srv", 2, b"q")
+    assert list(cli._initiator) == [handle.tid]
+    cli.close()
+
+
+def test_a_respond_whose_send_raises_ends_aborted_and_drops_resent_invokes():
+    transport = _FailingSink()
+    clock = VirtualClock()
+    srv = wtp.WtpProvider(transport, clock)
+    invocations = []
+    srv.on_invoke = invocations.append
+    invoke = wtp.WtpPdu(wtp.PDU_INVOKE, 7, tclass=2)
+    transport.receive("cli", wtp.encode_pdu(invoke))
+    [inv] = invocations
+    transport.failing = True
+    with pytest.raises(OSError):
+        inv.respond(b"R")
+    assert inv.state == wtp.ABORTED
+    assert clock.pending() == 0  # neither the Ack hold nor a retry is left
+    transport.failing = False
+    sent = []
+    transport.send = lambda dst, payload: sent.append(payload)
+    invoke.rid = True
+    transport.receive("cli", wtp.encode_pdu(invoke))  # the initiator's retry
+    assert sent == [] and invocations == [inv]
+    srv.close()
+
+
+def test_a_resend_that_raises_counts_as_lost_and_the_deadline_still_aborts(
+        caplog):
+    transport = _FailingSink()
+    clock = VirtualClock()
+    cli = wtp.WtpProvider(transport, clock, wtp.RetransmissionPolicy(
+        retry_interval_ms=50, max_retrans=3))
+    handle = cli.invoke("srv", 2, b"q")
+    transport.failing = True
+    with caplog.at_level(logging.WARNING, logger="wapstack.wtp"):
+        clock.advance(2.0)
+    assert handle.state == wtp.ABORTED
+    assert isinstance(handle.error, wtp.TransactionTimeout)
+    assert handle.retransmits == 3
+    assert clock.pending() == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"tid {handle.tid}: resend to srv failed: network is unreachable"] * 3
+    cli.close()
