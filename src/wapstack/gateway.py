@@ -277,7 +277,6 @@ class Gateway:
         return status, out_headers, out_body
 
     def close(self) -> None:
-        self.wsp_server.close()
         self.provider.close()
         self._executor.shutdown(wait=False)
         self._stack.close()

@@ -34,6 +34,7 @@ import os
 import struct
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import wtp
@@ -416,14 +417,13 @@ def _run_handler(handler, executor, msg: WspMessage, ctx, send) -> None:
 
 class _SessionRecord:
     __slots__ = ("session_id", "peer", "state", "negotiated_headers",
-                 "last_active")
+                 "suspended_at")
 
-    def __init__(self, session_id, peer, headers, now):
+    def __init__(self, session_id, peer, headers):
         self.session_id = session_id
         self.peer = peer
         self.state = CONNECTED
-        self.negotiated_headers = headers
-        self.last_active = now
+        self.negotiated_headers = headers  # suspended_at: set by a Suspend
 
 
 class WspServer:
@@ -434,6 +434,10 @@ class WspServer:
     ``session_id`` and ``tid`` for logging.  When an executor is given the
     handler runs on a worker thread so slow origin fetches never stall the
     protocol stack.
+
+    A session that stays suspended for ``session_ttl_s`` is forgotten at
+    the first Invoke or ``session_count()`` from then on; no timer runs, so
+    an idle server keeps it until then.  Connected sessions are kept.
     """
 
     def __init__(self, provider: wtp.WtpProvider, handler, clock,
@@ -444,33 +448,35 @@ class WspServer:
         self._ttl = session_ttl_s
         self._executor = executor
         self._sessions: dict[int, _SessionRecord] = {}
-        self._by_peer: dict[WdpAddress, int] = {}
+        self._by_peer: dict[WdpAddress, _SessionRecord] = {}
+        self._idle: deque[tuple[float, int]] = deque()
         self._next_sid = itertools.count(1)
         self._lock = threading.Lock()
         provider.on_invoke = self._on_invoke
-        self._evict_timer = clock.call_later(max(self._ttl / 4, 0.01),
-                                             self._evict_idle)
-        self._closed = False
 
     def session_count(self) -> int:
         with self._lock:
+            self._forget_idle()
             return len(self._sessions)
 
-    def _evict_idle(self) -> None:
-        if self._closed:
-            return
-        now = self._clock.now()
-        with self._lock:
-            stale = [sid for sid, rec in self._sessions.items()
-                     if rec.state == SUSPENDED and now - rec.last_active > self._ttl]
-            for sid in stale:
-                rec = self._sessions.pop(sid)
-                if self._by_peer.get(rec.peer) == sid:
+    def _forget_idle(self) -> None:
+        """Forget each session whose TTL has run since its last Suspend;
+        under the lock, before any read of the session tables.  ``_idle``
+        holds ``(suspended_at + ttl, session_id)`` per Suspend, in time
+        order, and an entry is stale once its session was resumed."""
+        idle = self._idle
+        while idle and idle[0][0] <= (now := self._clock.now()):
+            rec = self._sessions.get(idle.popleft()[1])
+            if rec is not None and rec.state == SUSPENDED \
+                    and rec.suspended_at + self._ttl <= now:
+                del self._sessions[rec.session_id]
+                if self._by_peer.get(rec.peer) is rec:
                     del self._by_peer[rec.peer]
-        self._evict_timer = self._clock.call_later(max(self._ttl / 4, 0.01),
-                                                   self._evict_idle)
 
     def _on_invoke(self, inv: wtp.Invocation) -> None:
+        if self._idle:  # entries are only appended, and not due at once
+            with self._lock:
+                self._forget_idle()
         try:
             msg = decode_message(inv.payload)
         except WspError:
@@ -500,9 +506,8 @@ class WspServer:
     def _handle_connect(self, inv, msg) -> None:
         with self._lock:
             sid = next(self._next_sid)
-            rec = _SessionRecord(sid, inv.src, msg.headers, self._clock.now())
-            self._sessions[sid] = rec
-            self._by_peer[inv.src] = sid
+            rec = _SessionRecord(sid, inv.src, msg.headers)
+            self._sessions[sid] = self._by_peer[inv.src] = rec
         reply = WspMessage(PDU_CONNECT_REPLY, session_id=sid, headers=msg.headers)
         inv.respond(encode_message(reply))
 
@@ -511,22 +516,19 @@ class WspServer:
             rec = self._sessions.get(msg.session_id)
             if rec is not None and rec.state == CONNECTED:
                 rec.state = SUSPENDED
-                rec.last_active = self._clock.now()
+                rec.suspended_at = self._clock.now()
+                self._idle.append((rec.suspended_at + self._ttl, rec.session_id))
 
     def _handle_resume(self, inv, msg) -> None:
         with self._lock:
             rec = self._sessions.get(msg.session_id)
-            if rec is None:
-                refuse = True
-            else:
-                refuse = False
-                if self._by_peer.get(rec.peer) == rec.session_id:
+            if rec is not None:
+                if self._by_peer.get(rec.peer) is rec:
                     del self._by_peer[rec.peer]
                 rec.peer = inv.src
                 rec.state = CONNECTED
-                rec.last_active = self._clock.now()
-                self._by_peer[inv.src] = rec.session_id
-        if refuse:
+                self._by_peer[inv.src] = rec
+        if rec is None:
             self._reply(inv, 404, b"no such session")
         else:
             reply = WspMessage(PDU_CONNECT_REPLY, session_id=rec.session_id,
@@ -535,27 +537,19 @@ class WspServer:
 
     def _handle_disconnect(self, inv) -> None:
         with self._lock:
-            sid = self._by_peer.pop(inv.src, None)
-            if sid is not None:
-                self._sessions.pop(sid, None)
+            rec = self._by_peer.pop(inv.src, None)
+            if rec is not None:
+                self._sessions.pop(rec.session_id, None)
 
     def _handle_method(self, inv, msg) -> None:
         with self._lock:
-            sid = self._by_peer.get(inv.src)
-            rec = self._sessions.get(sid) if sid is not None else None
-            if rec is None or rec.state != CONNECTED:
-                rec = None
-            else:
-                rec.last_active = self._clock.now()
-        if rec is None:
+            rec = self._by_peer.get(inv.src)
+            connected = rec is not None and rec.state == CONNECTED
+        if not connected:
             self._reply(inv, 400, b"no connected session")
             return
         ctx = {"session_id": rec.session_id, "tid": inv.tid}
         _run_handler(self._handler, self._executor, msg, ctx, inv.respond)
-
-    def close(self) -> None:
-        self._closed = True
-        self._evict_timer.cancel()
 
 
 # --- connectionless service ---------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from wapstack import wsp, wtp
 from wapstack.bearer import SimNetwork
+from wapstack.clock import VirtualClock
 from wapstack.wdp import WdpAddress, WdpStack
 
 GW = WdpAddress("gw", 9201)
@@ -33,6 +34,39 @@ class Rig:
         provider = wtp.WtpProvider(
             WdpStack(self.net.endpoint(addr)).bind_ephemeral(), clock)
         return wsp.WspClient(provider, GW)
+
+
+class VirtualRig:
+    """The server on a VirtualClock, and handsets that each send one WSP
+    message at a time.  The clean sim network delivers at once, so an
+    exchange takes no virtual time."""
+
+    TTL = 8.0  # with the step below, every instant is exact in binary
+    STEP = 1 / 1024
+
+    def __init__(self):
+        self.clock = VirtualClock()
+        self.net = SimNetwork(self.clock)
+        self.server = wsp.WspServer(
+            wtp.WtpProvider(WdpStack(self.net.endpoint("gw")).bind(9201),
+                            self.clock),
+            echo_handler, self.clock, session_ttl_s=self.TTL)
+        self._handsets = {}
+
+    def send(self, addr, pdu_type, **fields):
+        """Send one message from handset ``addr``: a Suspend on class 0,
+        anything else on class 2, whose decoded reply is returned."""
+        if addr not in self._handsets:
+            self._handsets[addr] = wtp.WtpProvider(
+                WdpStack(self.net.endpoint(addr)).bind_ephemeral(), self.clock)
+        tclass = 0 if pdu_type == wsp.PDU_SUSPEND else 2
+        handle = self._handsets[addr].invoke(
+            GW, tclass, wsp.encode_message(wsp.WspMessage(pdu_type, **fields)))
+        self.clock.advance(0)
+        return wsp.decode_message(handle.result) if tclass == 2 else None
+
+    def connect(self, addr):
+        return self.send(addr, wsp.PDU_CONNECT).session_id
 
 
 def test_connect_assigns_session_and_negotiates_headers(real_clock):
@@ -97,6 +131,49 @@ def test_idle_suspended_sessions_are_evicted(real_clock):
     assert rig.server.session_count() == 0
     with pytest.raises(wsp.ResumeRefused):
         session.resume(timeout=5.0)
+
+
+def test_the_server_arms_no_timer():
+    assert VirtualRig().clock.pending() == 0
+
+
+def test_a_suspended_session_is_forgotten_exactly_at_the_ttl():
+    rig = VirtualRig()
+    sid = rig.connect("cli")
+    rig.send("cli", wsp.PDU_SUSPEND, session_id=sid)
+    rig.clock.advance(rig.TTL - rig.STEP)
+    assert rig.server.session_count() == 1
+    rig.clock.advance(rig.STEP)
+    assert rig.server.session_count() == 0
+    assert rig.clock.pending() == 0
+
+
+@pytest.mark.parametrize("early", [True, False], ids=["before-ttl", "at-ttl"])
+def test_a_resume_at_the_ttl_is_refused(early):
+    # the Resume's own Invoke forgets the session: no session_count() first
+    rig = VirtualRig()
+    sid = rig.connect("cli")
+    rig.send("cli", wsp.PDU_SUSPEND, session_id=sid)
+    rig.clock.advance(rig.TTL - rig.STEP if early else rig.TTL)
+    reply = rig.send("cli", wsp.PDU_RESUME, session_id=sid)
+    if early:
+        assert (reply.pdu_type, reply.session_id) == (wsp.PDU_CONNECT_REPLY,
+                                                      sid)
+    else:
+        assert (reply.pdu_type, reply.status) == (wsp.PDU_REPLY, 404)
+
+
+def test_a_session_suspended_again_outlives_its_first_suspend():
+    rig = VirtualRig()
+    sid = rig.connect("cli")
+    rig.send("cli", wsp.PDU_SUSPEND, session_id=sid)
+    rig.clock.advance(rig.TTL / 2)
+    assert rig.send("cli", wsp.PDU_RESUME, session_id=sid).session_id == sid
+    rig.send("cli", wsp.PDU_SUSPEND, session_id=sid)
+    rig.clock.advance(rig.TTL / 2)  # the first Suspend's entry falls due
+    assert rig.server.session_count() == 1
+    rig.clock.advance(rig.TTL / 2)
+    assert rig.server.session_count() == 0
 
 
 def test_connected_sessions_survive_the_ttl(real_clock):
@@ -177,7 +254,6 @@ def test_failed_reply_send_is_logged(real_clock, caplog):
         assert isinstance(logged[0].exc_info[1], wtp.WrongState)
     finally:
         executor.shutdown(wait=True)
-        server.close()
 
 
 def test_method_past_its_timeout_aborts_the_transaction(real_clock):
@@ -206,7 +282,6 @@ def test_method_past_its_timeout_aborts_the_transaction(real_clock):
             == [wtp.ABORTED, wtp.DONE]
     finally:
         executor.shutdown(wait=True)
-        server.close()
         cli_provider.close()
 
 
