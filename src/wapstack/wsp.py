@@ -484,7 +484,7 @@ class WspServer:
                 self._reply(inv, 400, b"malformed WSP message")
             return
         if msg.pdu_type == PDU_SUSPEND:
-            self._handle_suspend(msg)
+            self._handle_suspend(inv, msg)
         elif msg.pdu_type == PDU_DISCONNECT:
             self._handle_disconnect(inv)
         elif inv.tclass != 2:
@@ -503,18 +503,28 @@ class WspServer:
     def _reply(self, inv, status, body) -> None:
         inv.respond(_encode_reply(status, [], body))
 
+    def _bind(self, peer, rec) -> None:
+        """Make ``rec`` the session of ``peer``.  A session the peer had
+        that is still CONNECTED could no longer be reached, so it is
+        forgotten; a SUSPENDED one stays resumable by its id."""
+        old = self._by_peer.get(peer)
+        if old is not None and old is not rec and old.state == CONNECTED:
+            del self._sessions[old.session_id]
+        self._by_peer[peer] = rec
+
     def _handle_connect(self, inv, msg) -> None:
         with self._lock:
             sid = next(self._next_sid)
-            rec = _SessionRecord(sid, inv.src, msg.headers)
-            self._sessions[sid] = self._by_peer[inv.src] = rec
+            rec = self._sessions[sid] = _SessionRecord(sid, inv.src, msg.headers)
+            self._bind(inv.src, rec)
         reply = WspMessage(PDU_CONNECT_REPLY, session_id=sid, headers=msg.headers)
         inv.respond(encode_message(reply))
 
-    def _handle_suspend(self, msg) -> None:
+    def _handle_suspend(self, inv, msg) -> None:
         with self._lock:
             rec = self._sessions.get(msg.session_id)
-            if rec is not None and rec.state == CONNECTED:
+            # only from its own peer: session ids are easy to guess
+            if rec is not None and rec.state == CONNECTED and rec.peer == inv.src:
                 rec.state = SUSPENDED
                 rec.suspended_at = self._clock.now()
                 self._idle.append((rec.suspended_at + self._ttl, rec.session_id))
@@ -527,7 +537,7 @@ class WspServer:
                     del self._by_peer[rec.peer]
                 rec.peer = inv.src
                 rec.state = CONNECTED
-                self._by_peer[inv.src] = rec
+                self._bind(inv.src, rec)
         if rec is None:
             self._reply(inv, 404, b"no such session")
         else:

@@ -216,6 +216,35 @@ def test_two_clients_get_distinct_sessions(real_clock):
     assert rig.server.session_count() == 2
 
 
+def test_a_second_connect_forgets_the_peer_s_connected_session(real_clock):
+    rig = Rig(real_clock)
+    rig.client.connect()
+    rig.client.connect()
+    assert rig.server.session_count() == 1
+
+
+def test_a_suspended_session_outlives_a_new_connect():
+    rig = VirtualRig()
+    first = rig.connect("cli")
+    rig.send("cli", wsp.PDU_SUSPEND, session_id=first)
+    rig.connect("cli")
+    assert rig.server.session_count() == 2
+    assert rig.send("cli", wsp.PDU_RESUME, session_id=first).session_id == first
+    # the peer's second session can no longer be reached
+    assert rig.server.session_count() == 1
+
+
+def test_only_the_session_s_peer_can_suspend_it():
+    rig = VirtualRig()
+    sid = rig.connect("cli")
+    rig.send("cli2", wsp.PDU_SUSPEND, session_id=sid)
+    assert rig.send("cli", wsp.PDU_GET, uri="/a").status == 200
+    # a Resume may come from a new address: that is what it is for
+    rig.send("cli", wsp.PDU_SUSPEND, session_id=sid)
+    assert rig.send("cli2", wsp.PDU_RESUME, session_id=sid).session_id == sid
+    assert rig.send("cli2", wsp.PDU_GET, uri="/b").status == 200
+
+
 def test_handler_exception_maps_to_500(real_clock, caplog):
     def broken(msg, ctx):
         raise RuntimeError("boom")
