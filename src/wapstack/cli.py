@@ -120,8 +120,8 @@ def wapgw_main(argv=None) -> int:
 
 def _parse_gateway_arg(value: str) -> WdpAddress:
     host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError("expected host:port")
+    if not host or not port.isdigit() or not 0 < int(port) < 65536:
+        raise argparse.ArgumentTypeError("expected host:port, port 1-65535")
     return WdpAddress(f"{host}:{port}", int(port))
 
 
@@ -132,6 +132,8 @@ def _load_client_psk(path: str, identity: str | None) -> tuple[bytes, bytes]:
         if ident not in table:
             raise ValueError(f"identity {identity!r} not in {path}")
         return ident, table[ident]
+    if not table:
+        raise ValueError(f"no identity in {path}")
     ident = next(iter(table))
     return ident, table[ident]
 

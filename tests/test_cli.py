@@ -247,6 +247,25 @@ def test_wapget_security_needs_psk_file(capsys):
     assert "--psk-file" in capsys.readouterr().err
 
 
+def test_wapget_psk_file_without_entries_exits_3(tmp_path, capsys):
+    psk = tmp_path / "psk.txt"
+    psk.write_text("# no identities yet\n")
+    assert cli.wapget_main(["--gateway", "127.0.0.1:9", "--security", "mac",
+                            "--psk-file", str(psk), "http://x/"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("wapget: ") and str(psk) in err
+
+
+@pytest.mark.parametrize("main", [cli.wapget_main, cli.wapbrowse_main],
+                         ids=["wapget", "wapbrowse"])
+@pytest.mark.parametrize("port", ["0", "65536", "99999"])
+def test_gateway_port_out_of_range_exits_2(capsys, main, port):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--gateway", f"127.0.0.1:{port}", "http://x/"])
+    assert exit_info.value.code == 2
+    assert "--gateway" in capsys.readouterr().err
+
+
 # --- wapbrowse ----------------------------------------------------------------
 
 def test_wapbrowse_follows_links_then_quits(udp_gateway, capsys, monkeypatch):
