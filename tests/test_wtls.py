@@ -519,6 +519,40 @@ def test_close_wakes_a_waiting_handshake():
     assert not client.established
 
 
+def test_an_unanswered_handshake_gives_up_after_four_retries():
+    clock = VirtualClock()
+    wire = _Wire()  # nothing answers the hello
+    client = wtls.WtlsClientTransport(
+        wire.endpoint(WdpAddress("c1", 1)), WdpAddress("server", 9201),
+        b"alice", PSK, wtls.MODE_FULL, clock, rng=random.Random(1))
+    raised = []
+
+    def run():
+        try:
+            client.handshake(timeout=5.0)
+        except wtls.WtlsError as exc:
+            raised.append(exc)
+
+    waiter = threading.Thread(target=run)
+    waiter.start()
+    deadline = time.monotonic() + 2.0
+    while not clock.pending() and time.monotonic() < deadline:
+        time.sleep(0.01)  # until the hello is out and its timer armed
+    sent_at = [clock.now()] * len(wire.take())
+    while clock.now() < 2.25:
+        clock.advance(0.25)
+        sent_at += [clock.now()] * len(wire.take())
+    assert clock.pending() == 1
+    clock.advance(0.25)
+    assert clock.pending() == 0  # gave up at 2.5 s, and armed nothing more
+    waiter.join(timeout=2.0)
+    assert not waiter.is_alive()
+    assert sent_at == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert [(type(exc), str(exc)) for exc in raised] == [
+        (wtls.HandshakeTimeout, "no response after 4 retries")]
+    assert wire.sent == [] and not client.established
+
+
 def test_half_open_peers_are_bounded_and_sessions_survive_a_hello_flood():
     wire = _Wire()
     server_addr, client_addr = WdpAddress("server", 9201), WdpAddress("c1", 1)
