@@ -474,7 +474,7 @@ class WspServer:
                     del self._by_peer[rec.peer]
 
     def _on_invoke(self, inv: wtp.Invocation) -> None:
-        if self._idle:  # entries are only appended, and not due at once
+        if self._idle:  # unlocked peek: an entry it misses waits one Invoke
             with self._lock:
                 self._forget_idle()
         try:
