@@ -214,15 +214,19 @@ def wapbrowse_main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         ua = _make_useragent(args)
-        result = ua.fetch(args.url)
-        if result.document is None:
-            _print_result(result)
-            return 0
-        deck = render(result.document)
     except Exception as exc:
         print(f"wapbrowse: {exc}", file=sys.stderr)
         return 3
     try:
+        try:
+            result = ua.fetch(args.url)
+            if result.document is None:
+                _print_result(result)
+                return 0
+            deck = render(result.document)
+        except Exception as exc:
+            print(f"wapbrowse: {exc}", file=sys.stderr)
+            return 3
         while True:
             for line in deck.lines:
                 print(line)

@@ -390,7 +390,9 @@ def _run_handler(handler, executor, msg: WspMessage, ctx, send) -> None:
     """Run ``handler`` (on ``executor`` when given) and ``send`` the encoded
     Reply.  A failing handler is logged and answered 500; a Reply too large
     for one datagram is answered 502, so the client never waits it out.  A
-    send that fails otherwise is logged, since no caller reads the result."""
+    Reply to a method the handset aborted is refused by WTP and logged as
+    one line; a send that fails otherwise is logged with its traceback,
+    since no caller reads the result."""
     def work():
         try:
             reply = _encode_reply(*handler(msg, ctx))
@@ -405,7 +407,10 @@ def _run_handler(handler, executor, msg: WspMessage, ctx, send) -> None:
                             msg.uri, exc)
                 send(_encode_reply(502, TEXT_PLAIN,
                                    b"reply too large for one datagram"))
-        except Exception:  # e.g. WrongState: the client aborted meanwhile
+        except wtp.WrongState as exc:
+            # an unanswered method's record leaves INVOKE_RCVD only by an Abort
+            log.info("reply to %s %s not sent: %s", msg.method, msg.uri, exc)
+        except Exception:
             log.exception("sending the reply to %s %s failed", msg.method,
                           msg.uri)
 

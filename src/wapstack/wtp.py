@@ -43,18 +43,22 @@ them, the least recently sampled evicted first.  The initiator samples from
 its Invoke to the first Ack or Result, the responder from its Result to the
 Ack; a PDU sent more than once gives no sample (Karn's rule).  The RTO is
 SRTT + 4 RTTVAR, at least ``MIN_RTO_MS`` on the responder and
-``MIN_RTO_MS`` + SRTT on the initiator.  A lost Invoke is so resent after
-about one round trip, without waiting out the responder's Ack hold, which
-answers the resent copy; a lost Result is resent by the responder, whose
-retry falls due first.  Every retry to a peer doubles its backoff, a
-multiplier on its RTO that the next sample resets (RFC 6298 5.5).  A
-record's retries wait the full backoff; its first send waits half of it, so
-one lost PDU does not slow the next transaction, while a round trip that
-grew past the RTO, which makes every transaction retry, still doubles it
-until a PDU sent once is answered and sampled.  No interval is longer than
-``retry_interval_ms``, which is also what a peer with no sample gets.  So
-the whole schedule fits inside the fixed one's deadline, and a responder's
-linger still outlasts every retransmitted Invoke.
+2 x ``MIN_RTO_MS`` + SRTT on the initiator.  A lost Invoke is so resent
+after about one round trip plus 2 x ``MIN_RTO_MS``, without waiting out
+the responder's Ack hold, which answers the resent copy.  A lost Result is resent by the responder
+``MIN_RTO_MS`` after it was sent, so the copy reaches the initiator about
+SRTT + ``MIN_RTO_MS`` after its Invoke, and the initiator's retry falls due
+at least ``MIN_RTO_MS`` later: one lost Result costs one resent Result, not
+a resent Invoke as well, answered by the Result yet again.  On a 1 ms path
+a lost PDU so costs about 10-20 ms more.  Every retry to a peer doubles
+its backoff, a multiplier on its RTO that the next sample resets (RFC 6298
+5.5).  A record's retries wait the full backoff; its first send waits half
+of it, so one lost PDU does not slow the next transaction, while a round
+trip that grew past the RTO, which makes every transaction retry, still
+doubles it until a PDU sent once is answered and sampled.  No interval is
+longer than ``retry_interval_ms``, which is also what a peer with no sample
+gets.  So the whole schedule fits inside the fixed one's deadline, and a
+responder's linger still outlasts every retransmitted Invoke.
 
 Completed records linger for ``linger_ms`` so duplicate PDUs re-trigger
 retransmissions but never a second user indication.  Records finish in time
@@ -98,8 +102,8 @@ ABORTED = "ABORTED"
 ABORT_USER = 0x01
 
 ACK_DELAY_MS = 100  # the responder's hold on its automatic Ack (see above)
-MIN_RTO_MS = 50     # the floor on a measured retry interval (plus SRTT on
-                    # an initiator)
+MIN_RTO_MS = 10     # the responder's floor on a measured retry interval;
+                    # an initiator's is 2 x MIN_RTO_MS + SRTT
 MAX_PEERS = 1024    # round-trip estimates kept; the least recently sampled go
 
 log = logging.getLogger(__name__)
@@ -447,8 +451,9 @@ class WtpProvider:
     def _retry_delay(self, txn, peer) -> float:
         """Seconds until ``txn``'s next retry: RFC 6298's SRTT + 4 RTTVAR
         for ``peer`` times its backoff, at most ``retry_interval_ms``.  The
-        floor is ``MIN_RTO_MS``, plus SRTT on an initiator, so that the
-        responder's retry of a lost Result falls due first; a PDU not yet
+        floor is ``MIN_RTO_MS``, or 2 x ``MIN_RTO_MS`` + SRTT on an
+        initiator, so that the responder's resent Result arrives at least
+        ``MIN_RTO_MS`` before the initiator's retry falls due; a PDU not yet
         resent waits half the backoff (see the module docstring); a peer
         with no sample gets ``retry_interval_ms``.  Runs for every Invoke
         and Result, so it avoids helper calls."""
@@ -458,7 +463,7 @@ class WtpProvider:
             return cap / 1000.0
         srtt, rttvar, backoff = estimate
         rto = srtt + 4 * rttvar
-        floor = (MIN_RTO_MS + srtt if isinstance(txn, TransactionHandle)
+        floor = (2 * MIN_RTO_MS + srtt if isinstance(txn, TransactionHandle)
                  else MIN_RTO_MS)
         if rto < floor:
             rto = floor

@@ -1,5 +1,5 @@
 """Shared fixtures: random WML documents, a stub HTTP origin, clocks, a
-free UDP port, and a guard against leaked UDP reader threads."""
+free UDP port, and a guard against leaked UDP reader and clock threads."""
 
 import http.server
 import random
@@ -74,24 +74,25 @@ def free_udp_port():
     return port
 
 
-def _udp_readers():
+def _stack_threads():
     return {t for t in threading.enumerate()
-            if t.name.startswith("udp-bearer-")}
+            if t.name == "wapstack-clock" or t.name.startswith("udp-bearer-")}
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_udp_reader():
-    """Fail a test that leaves a UDP bearer's reader thread running: each
-    one holds a socket and its port until the process exits."""
-    before = _udp_readers()
+def no_leaked_stack_thread():
+    """Fail a test that leaves a UDP bearer's reader thread or a
+    ``RealClock``'s thread running: a reader holds a socket and its port
+    until the process exits, and a clock keeps every timer's callback."""
+    before = _stack_threads()
     yield
-    leaked = _udp_readers() - before
-    deadline = time.monotonic() + 0.5  # a reader that is just finishing
+    leaked = _stack_threads() - before
+    deadline = time.monotonic() + 0.5  # a thread that is just finishing
     for thread in leaked:
         thread.join(max(0.0, deadline - time.monotonic()))
     alive = sorted(t.name for t in leaked if t.is_alive())
     if alive:
-        pytest.fail(f"UDP reader threads left running: {alive}")
+        pytest.fail(f"stack threads left running: {alive}")
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import pytest
 from wapstack import cli, gateway as gw, wml
 from wapstack.bearer import UdpBearer
 
-from conftest import free_udp_port
+from conftest import _stack_threads, free_udp_port
 
 DECK = '<wml><card id="c1"><p>Hi</p><p><a href="/next">go</a></p></card></wml>'
 NEXT = "<wml><card><p>Done</p></card></wml>"
@@ -65,11 +65,6 @@ def test_wapgw_rejects_bad_config(capsys):
 def test_wapgw_rejects_sim_bearer_from_cli(capsys):
     assert cli.wapgw_main(["--bearer", "sim"]) == 1
     assert "in-process only" in capsys.readouterr().err
-
-
-def _stack_threads():
-    return {t for t in threading.enumerate()
-            if t.name == "wapstack-clock" or t.name.startswith("udp-bearer-")}
 
 
 def test_wapgw_reports_bind_failure(capsys):
@@ -267,6 +262,14 @@ def test_gateway_port_out_of_range_exits_2(capsys, main, port):
 
 
 # --- wapbrowse ----------------------------------------------------------------
+
+def test_wapbrowse_unreachable_gateway_exits_3_and_leaves_no_thread(capsys):
+    threads = _stack_threads()
+    assert cli.wapbrowse_main(["--gateway", f"127.0.0.1:{free_udp_port()}",
+                               "http://site/index"]) == 3
+    assert capsys.readouterr().err.startswith("wapbrowse: ")
+    assert _stack_threads() <= threads
+
 
 def test_wapbrowse_follows_links_then_quits(udp_gateway, capsys, monkeypatch):
     answers = iter(["1", "q"])

@@ -257,32 +257,63 @@ def test_handler_exception_maps_to_500(real_clock, caplog):
     assert str(logged[0].exc_info[1]) == "boom"
 
 
-def test_failed_reply_send_is_logged(real_clock, caplog):
-    # The client aborts while the handler still runs, so sending the Reply
-    # raises WrongState on the executor; that must reach the log.
-    def slow(msg, ctx):
-        time.sleep(0.3)
-        return echo_handler(msg, ctx)
+class _QueuedExecutor:
+    """An executor whose work runs only when the test calls it."""
 
-    executor = ThreadPoolExecutor(max_workers=1)
-    net = SimNetwork(real_clock)
+    def __init__(self):
+        self.queued = []
+
+    def submit(self, fn):
+        self.queued.append(fn)
+
+
+def _get_in_the_handler():
+    """A server on a VirtualClock whose handler runs on a queued executor,
+    and a handset whose Get of http://o/x, tid 2, reached the handler:
+    return the clock, the server's provider, the Get's handle and the
+    queued work."""
+    clock = VirtualClock()
+    net = SimNetwork(clock)
+    executor = _QueuedExecutor()
     srv_provider = wtp.WtpProvider(WdpStack(net.endpoint("gw")).bind(9201),
-                                   real_clock)
-    server = wsp.WspServer(srv_provider, slow, real_clock, executor=executor)
+                                   clock)
+    wsp.WspServer(srv_provider, echo_handler, clock, executor=executor)
     cli_provider = wtp.WtpProvider(
-        WdpStack(net.endpoint("cli")).bind_ephemeral(), real_clock)
-    try:
-        wsp.WspClient(cli_provider, GW).connect(timeout=5.0)
-        handle = cli_provider.invoke(GW, 2, wsp.encode_message(
-            wsp.WspMessage(wsp.PDU_GET, uri="/slow")))
-        time.sleep(0.05)
-        handle.abort()
-        executor.shutdown(wait=True)
-        logged = [r for r in caplog.records if r.levelno == logging.ERROR]
-        assert len(logged) == 1 and "GET /slow" in logged[0].getMessage()
-        assert isinstance(logged[0].exc_info[1], wtp.WrongState)
-    finally:
-        executor.shutdown(wait=True)
+        WdpStack(net.endpoint("cli")).bind_ephemeral(), clock)
+    cli_provider.invoke(GW, 2, wsp.encode_message(
+        wsp.WspMessage(wsp.PDU_CONNECT)))
+    clock.advance(0)
+    handle = cli_provider.invoke(GW, 2, wsp.encode_message(
+        wsp.WspMessage(wsp.PDU_GET, uri="http://o/x")))
+    clock.advance(0)
+    [work] = executor.queued
+    return clock, srv_provider, handle, work
+
+
+def test_a_reply_to_a_method_the_handset_aborted_is_one_info_line(caplog):
+    clock, _, handle, work = _get_in_the_handler()
+    handle.abort()
+    clock.advance(0)
+    with caplog.at_level(logging.INFO, logger="wapstack.wsp"):
+        work()
+    assert [(r.levelname, r.getMessage(), r.exc_info)
+            for r in caplog.records] == [
+        ("INFO", "reply to GET http://o/x not sent: tid 2 in state ABORTED",
+         None)]
+
+
+def test_failed_reply_send_is_logged(caplog):
+    # The gateway's provider closes while the handler runs, so sending the
+    # Reply raises UnknownTid, which no caller reads: it must reach the log
+    # with its traceback.
+    _, srv_provider, _, work = _get_in_the_handler()
+    srv_provider.close()
+    work()
+    logged = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(logged) == 1
+    assert logged[0].getMessage() == \
+        "sending the reply to GET http://o/x failed"
+    assert isinstance(logged[0].exc_info[1], wtp.UnknownTid)
 
 
 def test_method_past_its_timeout_aborts_the_transaction(real_clock):

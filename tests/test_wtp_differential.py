@@ -46,7 +46,7 @@ from wapstack.wdp import WdpAddress, WdpStack
 SCENARIOS = 90
 EXPECTED = "0750855def4592e852fd917a0aecbeacd3623eae9d08681dc1574e12004e96d3"
 EXPECTED_ADAPTIVE = (
-    "2c7f991a9f75c08e257a66239e2c7d5c20e7387d423c5f545d08cb36e8994963")
+    "0a2382752fd4794b8ad32988fc94292bb2f887bcd94b0e3a71369e044a15b9c4")
 
 SRV = WdpAddress("srv", 2000)
 CLIENTS = ("cli0", "cli1")
