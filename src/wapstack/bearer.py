@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import errno
 import logging
-import queue
 import random
 import socket
 import threading
@@ -78,17 +77,15 @@ class Inbox:
     """Receive half of the transport duck type, shared by the bearers and
     WDP endpoints.
 
-    Each arrival goes to ``receiver(src, payload)``, or waits in a backlog
-    for ``recv`` until one is set.  Once closed, arrivals are dropped, and
-    ``recv`` on an empty backlog raises ``closed_error(name)``, a fresh
-    instance each time.
+    Each arrival goes to ``receiver(src, payload)``.  An arrival with no
+    receiver set, or after ``close``, is dropped.  A send after ``close``
+    raises ``closed_error(name)``, a fresh instance each time.
     """
 
     def __init__(self, closed_error: type[Exception], name: str):
         self._closed_error = closed_error
         self._name = name
         self._receiver = None
-        self._backlog: queue.Queue = queue.Queue()
         self._closed = False
 
     def _check_open(self) -> None:
@@ -96,33 +93,13 @@ class Inbox:
             raise self._closed_error(self._name)
 
     def _arrive(self, src, payload: bytes) -> None:
-        if self._closed:
-            return
         receiver = self._receiver
-        if receiver is None:
-            self._backlog.put((src, payload))
-        else:
+        if receiver is not None and not self._closed:
             receiver(src, payload)
 
     def set_receiver(self, cb) -> None:
-        """Deliver to ``cb(src, payload)``; drains the backlog."""
+        """Deliver to ``cb(src, payload)``; ``None`` drops arrivals."""
         self._receiver = cb
-        if cb is not None:
-            while True:
-                try:
-                    item = self._backlog.get_nowait()
-                except queue.Empty:
-                    return
-                cb(*item)
-
-    def recv(self, timeout: float | None = None):
-        """Next ``(src, payload)``, or None when the wait times out."""
-        if self._closed and self._backlog.empty():
-            raise self._closed_error(self._name)
-        try:
-            return self._backlog.get(timeout=timeout)
-        except queue.Empty:
-            return None
 
 
 class SimNetwork:
@@ -237,7 +214,9 @@ def _parse_udp_addr(addr: str) -> tuple[str, int]:
 
 
 class UdpBearer(Inbox):
-    """UDP adapter: one socket per endpoint, payload bytes are the wire."""
+    """UDP adapter: one socket per endpoint, payload bytes are the wire.
+    The reader thread hands each datagram to the receiver, and drops it
+    while none is set."""
 
     def __init__(self, bind: tuple[str, int] = ("127.0.0.1", 0),
                  mtu: int = DEFAULT_MTU):

@@ -33,7 +33,6 @@ import logging
 import os
 import struct
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -407,8 +406,9 @@ def _run_handler(handler, executor, msg: WspMessage, ctx, send) -> None:
                             msg.uri, exc)
                 send(_encode_reply(502, TEXT_PLAIN,
                                    b"reply too large for one datagram"))
-        except wtp.WrongState as exc:
-            # an unanswered method's record leaves INVOKE_RCVD only by an Abort
+        except (wtp.WrongState, wtp.UnknownTid) as exc:
+            # an unanswered method's record leaves INVOKE_RCVD only by an
+            # Abort, and is forgotten once that has lingered
             log.info("reply to %s %s not sent: %s", msg.method, msg.uri, exc)
         except Exception:
             log.exception("sending the reply to %s %s failed", msg.method,
@@ -572,23 +572,37 @@ class WspServer:
 def connectionless_get(endpoint, gateway_addr: WdpAddress, uri: str,
                        headers=None, timeout: float = 3.0,
                        request_id: int | None = None) -> WspMessage:
-    """One-shot Get over the connectionless port; unreliable by design."""
+    """One-shot Get over the connectionless port; unreliable by design.
+    The first Reply that echoes the id byte, or a malformed one, ends it.
+    The Get holds ``endpoint``'s receiver while it waits, so run one at a
+    time per endpoint; a reply that arrives when none waits is dropped."""
     rid = request_id if request_id is not None else os.urandom(1)[0]
     msg = WspMessage(PDU_GET, uri=uri, headers=list(headers or []))
-    endpoint.send(gateway_addr, bytes([rid]) + encode_message(msg))
-    deadline = time.monotonic() + timeout
-    while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise RequestTimeout(f"no reply for request id {rid} within {timeout}s")
-        got = endpoint.recv(timeout=remaining)
-        if got is None:
-            raise RequestTimeout(f"no reply for request id {rid} within {timeout}s")
-        _, data = got
-        if data and data[0] == rid:
+    got = []
+    arrived = threading.Event()
+
+    def on_datagram(src, data: bytes) -> None:
+        if got or not data or data[0] != rid:
+            return
+        try:
             reply = decode_message(data[1:])
-            if reply.pdu_type == PDU_REPLY:
-                return reply
+            if reply.pdu_type != PDU_REPLY:
+                return
+        except WspError as exc:
+            reply = exc  # raised to the caller
+        got.append(reply)
+        arrived.set()
+
+    endpoint.set_receiver(on_datagram)
+    try:
+        endpoint.send(gateway_addr, bytes([rid]) + encode_message(msg))
+        if not arrived.wait(timeout):
+            raise RequestTimeout(f"no reply for request id {rid} within {timeout}s")
+    finally:
+        endpoint.set_receiver(None)
+    if isinstance(got[0], WspError):
+        raise got[0]
+    return got[0]
 
 
 class ConnectionlessResponder:

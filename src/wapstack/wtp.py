@@ -12,9 +12,7 @@ PDU wire format:
     Ack:     nothing after the tid (exactly 3 bytes)
     Abort:   byte 3 = reason (exactly 4 bytes)
 
-Concatenation: a leading 0x00 marker followed by repeated
-``{uint16 length, pdu}`` groups; any other first byte is a single bare PDU
-(possible because a valid PDU's first byte is always >= 0x10).
+Each datagram carries exactly one PDU.
 
 State machines (class 2): the initiator retransmits Invoke until it sees a
 standalone Ack or the Result; the Result is acknowledged with an Ack.  The
@@ -117,10 +115,6 @@ class MalformedPdu(WtpError):
     pass
 
 
-class MalformedConcat(WtpError):
-    pass
-
-
 class TransactionTimeout(WtpError):
     pass
 
@@ -211,34 +205,6 @@ def decode_pdu(data: bytes) -> WtpPdu:
     return WtpPdu(pdu_type, tid, rid, abort_reason=data[3])
 
 
-def concat_pdus(chunks: list[bytes]) -> bytes:
-    out = bytearray([0x00])
-    for chunk in chunks:
-        if len(chunk) > 65535:
-            raise MalformedConcat(f"pdu of {len(chunk)} bytes too long to concat")
-        out += struct.pack("!H", len(chunk)) + chunk
-    return bytes(out)
-
-
-def split_pdus(data: bytes) -> list[bytes]:
-    if not data:
-        raise MalformedConcat("empty datagram")
-    if data[0] != 0x00:
-        return [data]
-    parts = []
-    pos = 1
-    while pos < len(data):
-        if pos + 2 > len(data):
-            raise MalformedConcat("truncated length prefix")
-        (length,) = struct.unpack_from("!H", data, pos)
-        pos += 2
-        if pos + length > len(data):
-            raise MalformedConcat("pdu extends past datagram")
-        parts.append(data[pos:pos + length])
-        pos += length
-    return parts
-
-
 @dataclass
 class RetransmissionPolicy:
     # the first retry interval to a peer with no round-trip sample yet, and
@@ -276,16 +242,12 @@ class TraceEvent(NamedTuple):
 
 class TransactionHandle:
     """Initiator-side view of one transaction, and the provider's record of
-    it while it runs.
-
-    The ``threading.Event`` that ``wait`` blocks on is created by the first
-    ``wait`` on a pending handle, under the provider lock, so a handle that
-    is only used through ``add_done_callback`` never builds one.
-    """
+    it while it runs.  Completion runs the done callbacks; ``wait`` blocks
+    on an event that one of them sets."""
 
     __slots__ = ("tid", "tclass", "dst", "state", "result", "error", "timer",
                  "resend", "retransmits", "sent_at", "first_sent", "_provider",
-                 "_event", "_callbacks", "__weakref__")
+                 "_callbacks", "__weakref__")
 
     def __init__(self, provider: "WtpProvider", tid: int, tclass: int, dst):
         self.tid = tid
@@ -300,7 +262,6 @@ class TransactionHandle:
         self.sent_at: float | None = None  # round-trip sample start
         self.first_sent = 0.0  # when the give-up deadline started
         self._provider = provider
-        self._event: threading.Event | None = None
         self._callbacks: list[Callable[["TransactionHandle"], None]] = []
 
     @property
@@ -308,10 +269,9 @@ class TransactionHandle:
         return self.state in (DONE, ABORTED)
 
     def wait(self, timeout: float | None = None) -> "TransactionHandle":
-        with self._provider._lock:
-            if not self.done and self._event is None:
-                self._event = threading.Event()
-        if not self.done and not self._event.wait(timeout):
+        event = threading.Event()
+        self.add_done_callback(lambda _: event.set())  # at once when done
+        if not event.wait(timeout):
             raise TransactionTimeout(f"tid {self.tid} still pending after wait")
         if self.error is not None:
             raise self.error
@@ -334,8 +294,6 @@ class TransactionHandle:
         # under the provider lock; error first, since state makes it done
         self.error = error
         self.state = state
-        if self._event is not None:
-            self._event.set()
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
             fn(self)
@@ -604,15 +562,22 @@ class WtpProvider:
 
     # --- responder API ------------------------------------------------------
 
+    def _responder_record(self, src, tid: int):
+        """``src``'s record of ``tid``, for ``respond`` or an abort."""
+        if self._closed:
+            raise WtpError("provider closed")
+        self._forget_due()
+        txn = self._responder.get((src, tid))
+        if txn is None:
+            raise UnknownTid(f"tid {tid} from {src}")
+        return txn
+
     def respond(self, src, tid: int, payload: bytes) -> None:
         if len(payload) + 3 > self._transport.max_payload:
             raise OversizePayload(
                 f"result payload {len(payload)} exceeds transport budget")
         with self._lock:
-            self._forget_due()
-            txn = self._responder.get((src, tid))
-            if txn is None:
-                raise UnknownTid(f"tid {tid} from {src}")
+            txn = self._responder_record(src, tid)
             if txn.tclass != 2:
                 raise WrongClass(f"tid {tid} is class {txn.tclass}, result needs class 2")
             if txn.state != INVOKE_RCVD:
@@ -623,10 +588,7 @@ class WtpProvider:
 
     def _abort_responder(self, src, tid: int, reason: int) -> None:
         with self._lock:
-            self._forget_due()
-            txn = self._responder.get((src, tid))
-            if txn is None:
-                raise UnknownTid(f"tid {tid} from {src}")
+            txn = self._responder_record(src, tid)
             if txn.state in (DONE, ABORTED):
                 raise AlreadyCompleted(f"tid {tid} already completed")
             self._send(src, WtpPdu(PDU_ABORT, tid, abort_reason=reason))
@@ -648,18 +610,12 @@ class WtpProvider:
                 return
             self._forget_due()
             try:
-                parts = split_pdus(data)
-            except MalformedConcat:
+                pdu = decode_pdu(data)
+            except MalformedPdu:
                 self.malformed_count += 1
                 return
-            for part in parts:
-                try:
-                    pdu = decode_pdu(part)
-                except MalformedPdu:
-                    self.malformed_count += 1
-                    continue
-                self._emit("rcv", pdu)
-                self._dispatch(src, pdu)
+            self._emit("rcv", pdu)
+            self._dispatch(src, pdu)
 
     def _dispatch(self, src, pdu: WtpPdu) -> None:
         if pdu.pdu_type == PDU_INVOKE:

@@ -1,5 +1,6 @@
 """Shared fixtures: random WML documents, a stub HTTP origin, clocks, a
-free UDP port, and a guard against leaked UDP reader and clock threads."""
+free UDP port, a receiver that collects arrivals, and a guard against
+leaked UDP reader and clock threads."""
 
 import http.server
 import random
@@ -64,6 +65,14 @@ def document_corpus(n: int = 50, min_elements: int = 10,
                     seed: int = 20260823) -> list:
     rng = random.Random(seed)
     return [random_document(rng, min_elements) for _ in range(n)]
+
+
+def collect(inbox) -> list:
+    """Set a receiver on ``inbox`` that appends each ``(src, payload)`` to
+    the returned list."""
+    got = []
+    inbox.set_receiver(lambda src, payload: got.append((src, payload)))
+    return got
 
 
 def free_udp_port():

@@ -7,6 +7,8 @@ from wapstack import wdp
 from wapstack.bearer import ImpairmentProfile, OversizeDatagram, SimNetwork
 from wapstack.clock import VirtualClock
 
+from conftest import collect
+
 
 def test_header_worked_example():
     data = wdp.encode_datagram(wdp.WdpDatagram(9200, 9201, b"AB"))
@@ -52,13 +54,12 @@ def test_port_demultiplexing():
     a1 = sa.bind(100)
     b1 = sb.bind(200)
     b2 = sb.bind(201)
+    at_200, at_201 = collect(b1), collect(b2)
     a1.send(wdp.WdpAddress("b", 200), b"to-200")
     a1.send(wdp.WdpAddress("b", 201), b"to-201")
     clock.run_until_idle()
-    src, payload = b1.recv(timeout=0)
-    assert payload == b"to-200" and src == wdp.WdpAddress("a", 100)
-    _, payload = b2.recv(timeout=0)
-    assert payload == b"to-201"
+    assert at_200 == [(wdp.WdpAddress("a", 100), b"to-200")]
+    assert at_201 == [(wdp.WdpAddress("a", 100), b"to-201")]
     assert sb.dropped_count == 0
 
 
@@ -110,8 +111,7 @@ def test_receiver_callback_gets_source_address():
     clock, sa, sb = make_stacks()
     a1 = sa.bind(100)
     b1 = sb.bind(200)
-    seen = []
-    b1.set_receiver(lambda src, payload: seen.append((src, payload)))
+    seen = collect(b1)
     a1.send(wdp.WdpAddress("b", 200), b"hello")
     clock.run_until_idle()
     assert seen == [(wdp.WdpAddress("a", 100), b"hello")]

@@ -302,10 +302,25 @@ def test_a_reply_to_a_method_the_handset_aborted_is_one_info_line(caplog):
          None)]
 
 
+def test_a_reply_after_the_aborted_method_was_forgotten_is_one_info_line(
+        caplog):
+    # the handler outlasts the aborted record's 3 s linger, so the Reply's
+    # read of the responder table forgets the record
+    clock, _, handle, work = _get_in_the_handler()
+    handle.abort()
+    clock.advance(3.5)
+    with caplog.at_level(logging.INFO, logger="wapstack.wsp"):
+        work()
+    assert [(r.levelname, r.getMessage(), r.exc_info)
+            for r in caplog.records] == [
+        ("INFO", "reply to GET http://o/x not sent: tid 2 from "
+                 "WdpAddress(host='cli', port=49152)", None)]
+
+
 def test_failed_reply_send_is_logged(caplog):
     # The gateway's provider closes while the handler runs, so sending the
-    # Reply raises UnknownTid, which no caller reads: it must reach the log
-    # with its traceback.
+    # Reply raises "provider closed", which no caller reads: it must reach
+    # the log with its traceback.
     _, srv_provider, _, work = _get_in_the_handler()
     srv_provider.close()
     work()
@@ -313,7 +328,8 @@ def test_failed_reply_send_is_logged(caplog):
     assert len(logged) == 1
     assert logged[0].getMessage() == \
         "sending the reply to GET http://o/x failed"
-    assert isinstance(logged[0].exc_info[1], wtp.UnknownTid)
+    error = logged[0].exc_info[1]
+    assert type(error) is wtp.WtpError and str(error) == "provider closed"
 
 
 def test_method_past_its_timeout_aborts_the_transaction(real_clock):
@@ -405,3 +421,17 @@ def test_connectionless_timeout_when_unanswered(real_clock):
     with pytest.raises(wsp.RequestTimeout):
         wsp.connectionless_get(cl_client, WdpAddress("nobody", 9200),
                                "/void", timeout=0.2)
+
+
+def test_connectionless_get_leaves_its_endpoint_without_a_receiver(real_clock):
+    rig = Rig(real_clock)
+    cl_server = WdpStack(rig.net.endpoint("gw-cl")).bind(9200)
+    wsp.ConnectionlessResponder(cl_server, echo_handler)
+    cl_client = WdpStack(rig.net.endpoint("cli-cl")).bind_ephemeral()
+    wsp.connectionless_get(cl_client, WdpAddress("gw-cl", 9200), "/a",
+                           timeout=5.0)
+    assert cl_client._receiver is None
+    with pytest.raises(wsp.RequestTimeout):
+        wsp.connectionless_get(cl_client, WdpAddress("nobody", 9200), "/b",
+                               timeout=0.05)
+    assert cl_client._receiver is None

@@ -1,4 +1,4 @@
-"""Transaction-layer PDU and concatenation wire formats."""
+"""Transaction-layer PDU wire format."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,20 +15,6 @@ def test_invoke_worked_example():
 
 def test_ack_worked_example():
     assert wtp.encode_pdu(wtp.WtpPdu(wtp.PDU_ACK, tid=1)) == bytes.fromhex("300001")
-
-
-def test_concat_worked_example():
-    ack1 = wtp.encode_pdu(wtp.WtpPdu(wtp.PDU_ACK, tid=1))
-    ack2 = wtp.encode_pdu(wtp.WtpPdu(wtp.PDU_ACK, tid=2))
-    data = wtp.concat_pdus([ack1, ack2])
-    assert data == bytes.fromhex("0000033000010003300002")
-    assert wtp.split_pdus(data) == [ack1, ack2]
-
-
-def test_bare_pdu_passes_split_unchanged():
-    raw = wtp.encode_pdu(wtp.WtpPdu(wtp.PDU_RESULT, tid=9, payload=b"ok"))
-    assert raw[0] >= 0x10  # cannot be confused with the concat marker
-    assert wtp.split_pdus(raw) == [raw]
 
 
 @given(tid=st.integers(0, 65535), rid=st.booleans(),
@@ -57,11 +43,6 @@ def test_abort_round_trip(tid, reason):
     assert wtp.decode_pdu(wtp.encode_pdu(pdu)) == pdu
 
 
-@given(chunks=st.lists(st.binary(min_size=1, max_size=64), max_size=8))
-def test_concat_round_trip(chunks):
-    assert wtp.split_pdus(wtp.concat_pdus(chunks)) == chunks
-
-
 @pytest.mark.parametrize("data", [
     b"",                        # empty
     b"\x10\x00",                # shorter than 3 bytes
@@ -87,12 +68,3 @@ def test_encode_validation():
     with pytest.raises(wtp.MalformedPdu):
         wtp.encode_pdu(wtp.WtpPdu(wtp.PDU_ACK, 70000))
 
-
-@pytest.mark.parametrize("data", [
-    b"",
-    b"\x00\x00",                # truncated length prefix
-    b"\x00\x00\x05\x30",        # pdu extends past the datagram
-])
-def test_malformed_concat_rejected(data):
-    with pytest.raises(wtp.MalformedConcat):
-        wtp.split_pdus(data)

@@ -10,7 +10,7 @@ import pytest
 from wapstack import wtp
 from wapstack.bearer import ImpairmentProfile, SimNetwork
 from wapstack.clock import VirtualClock
-from wapstack.wdp import WdpAddress, WdpStack
+from wapstack.wdp import WdpAddress, WdpDatagram, WdpStack, encode_datagram
 
 SRV = WdpAddress("srv", 2000)
 CLI = WdpAddress("cli", 1000)
@@ -297,6 +297,19 @@ def test_malformed_datagrams_counted_not_fatal():
     handle = pair.cli.invoke(SRV, 2, b"q")
     pair.clock.advance(0.01)
     assert handle.done
+
+
+@pytest.mark.parametrize("data", [
+    b"",
+    # two class-0 Invokes behind the old concatenation marker
+    bytes.fromhex("00" "0004" "10000100" "0004" "10000200"),
+], ids=["empty", "led-by-0x00"])
+def test_one_pdu_per_datagram_so_these_are_malformed(data):
+    pair = Pair()
+    pair.cli_bearer.send("srv", encode_datagram(WdpDatagram(1000, 2000, data)))
+    pair.clock.run_until_idle()
+    assert pair.srv.malformed_count == 1
+    assert pair.indications == [] and pair.node_events("srv") == []
 
 
 def test_oversize_payload_rejected_up_front():
