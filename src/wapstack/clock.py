@@ -1,11 +1,15 @@
-"""Timer scheduling shared by every layer of the stack.
+"""Timer scheduling and blocking, shared by every layer of the stack.
 
-Two clocks implement one interface (``now()`` / ``call_later()``):
+Two clocks implement one interface (``now()`` / ``call_later()`` /
+``wait(event, timeout)``), and every blocking call waits through it:
 
 - ``RealClock`` runs callbacks on a background thread against wall time.
 - ``VirtualClock`` is advanced manually, so timer-driven protocol behavior
   (retransmission, delayed acks, impairment delays) is deterministic and
-  runs as fast as the test can pump it.
+  runs as fast as the test can pump it.  Its ``wait`` fires the timers
+  itself, so a blocking call runs the whole stack on the caller's thread.
+  Only that thread may drive the clock, and what sets the event must run
+  inline (a gateway's handlers with ``executor=None``).
 
 Callbacks scheduled for the same instant fire in scheduling order on both
 clocks, which makes delivery traces reproducible.
@@ -60,13 +64,23 @@ class VirtualClock:
 
     def advance(self, dt: float) -> None:
         """Move time forward, firing every timer that comes due."""
-        target = self._now + dt
-        while self._heap and self._heap[0][0] <= target:
+        self.wait(threading.Event(), dt)
+
+    def wait(self, event, timeout: float | None = None) -> bool:
+        """Fire timers in order until ``event`` is set or ``timeout``
+        seconds have passed, and return whether it is set.  A wait that
+        times out leaves ``now`` at its horizon.  With no timer left to run
+        it returns at once, since nothing else could set the event."""
+        horizon = float("inf") if timeout is None else self._now + timeout
+        while (not event.is_set() and self._heap
+               and self._heap[0][0] <= horizon):
             deadline, _, handle = heapq.heappop(self._heap)
             self._now = max(self._now, deadline)
             if not handle.cancelled:
                 handle.fn(*handle.args)
-        self._now = target
+        if not event.is_set() and timeout is not None:
+            self._now = max(self._now, horizon)
+        return event.is_set()
 
     def run_until_idle(self, limit: float = 60.0) -> None:
         """Advance until no timers remain or ``limit`` seconds have elapsed."""
@@ -95,6 +109,10 @@ class RealClock:
 
     def now(self) -> float:
         return time.monotonic()
+
+    def wait(self, event, timeout: float | None = None) -> bool:
+        """Block on ``event`` in wall time; return whether it is set."""
+        return event.wait(timeout)
 
     def call_later(self, delay: float, fn, *args) -> TimerHandle:
         with self._cond:

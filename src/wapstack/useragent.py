@@ -8,6 +8,7 @@ elements are listed as labeled actions but never executed.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import urllib.parse
 from dataclasses import dataclass
@@ -141,7 +142,6 @@ class UserAgent:
                                     trace=trace)
         self._client = wsp.WspClient(self.provider, gateway_addr)
         self.session: wsp.WspSession | None = None
-        self._cl_endpoint = None
 
     def _ensure_session(self) -> wsp.WspSession:
         if self.session is None or self.session.state == wsp.CLOSED:
@@ -151,12 +151,11 @@ class UserAgent:
 
     def fetch(self, url: str, headers=None, connectionless: bool = False) -> FetchResult:
         """Fetch a URL; reuses one session unless connectionless."""
-        if connectionless:
-            if self._cl_endpoint is None:
-                self._cl_endpoint = self._stack.bind_ephemeral()
-            cl_addr = WdpAddress(self.gateway_addr.host, WSP_CONNECTIONLESS_PORT)
-            reply = wsp.connectionless_get(self._cl_endpoint, cl_addr, url,
-                                           headers, timeout=self.timeout)
+        if connectionless:  # an endpoint per Get, so Gets may overlap
+            with contextlib.closing(self._stack.bind_ephemeral()) as endpoint:
+                reply = wsp.connectionless_get(endpoint, WdpAddress(
+                    self.gateway_addr.host, WSP_CONNECTIONLESS_PORT), url,
+                    self.clock, headers, timeout=self.timeout)
         else:
             reply = self._ensure_session().get(url, headers,
                                                timeout=self.timeout)

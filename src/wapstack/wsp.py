@@ -569,14 +569,13 @@ class WspServer:
 
 # --- connectionless service ---------------------------------------------------
 
-def connectionless_get(endpoint, gateway_addr: WdpAddress, uri: str,
-                       headers=None, timeout: float = 3.0,
-                       request_id: int | None = None) -> WspMessage:
+def connectionless_get(endpoint, gateway_addr: WdpAddress, uri: str, clock,
+                       headers=None, timeout: float = 3.0) -> WspMessage:
     """One-shot Get over the connectionless port; unreliable by design.
-    The first Reply that echoes the id byte, or a malformed one, ends it.
-    The Get holds ``endpoint``'s receiver while it waits, so run one at a
-    time per endpoint; a reply that arrives when none waits is dropped."""
-    rid = request_id if request_id is not None else os.urandom(1)[0]
+    The first Reply that echoes the id byte, or a malformed one, ends it;
+    the Get waits for it through ``clock``.  It holds ``endpoint``'s
+    receiver while it waits, so run one at a time per endpoint."""
+    rid = os.urandom(1)[0]
     msg = WspMessage(PDU_GET, uri=uri, headers=list(headers or []))
     got = []
     arrived = threading.Event()
@@ -596,7 +595,7 @@ def connectionless_get(endpoint, gateway_addr: WdpAddress, uri: str,
     endpoint.set_receiver(on_datagram)
     try:
         endpoint.send(gateway_addr, bytes([rid]) + encode_message(msg))
-        if not arrived.wait(timeout):
+        if not clock.wait(arrived, timeout):
             raise RequestTimeout(f"no reply for request id {rid} within {timeout}s")
     finally:
         endpoint.set_receiver(None)

@@ -475,6 +475,7 @@ class WtlsClientTransport(_RecordTransport):
         return self.session is not None
 
     def handshake(self, wait: bool = True, timeout: float = 10.0):
+        """Send the hello; with ``wait``, block on it through the clock."""
         with self._lock:
             if self._peer.client_hello or self._done.is_set():
                 raise WtlsError("handshake already started")
@@ -485,11 +486,9 @@ class WtlsClientTransport(_RecordTransport):
             # one timer runs from the hello to the end, across the ServerHello
             self._timer = self._clock.call_later(self.RETRY_INTERVAL,
                                                  self._on_retry_timer)
-        if not wait:
-            return self
-        if not self._done.wait(timeout):
+        if wait and not self._clock.wait(self._done, timeout):
             self._fail(HandshakeTimeout("handshake did not complete"))
-        if self._error is not None:
+        if wait and self._error is not None:
             raise self._error
         return self
 

@@ -243,7 +243,7 @@ class TraceEvent(NamedTuple):
 class TransactionHandle:
     """Initiator-side view of one transaction, and the provider's record of
     it while it runs.  Completion runs the done callbacks; ``wait`` blocks
-    on an event that one of them sets."""
+    through the provider's clock on an event that one of them sets."""
 
     __slots__ = ("tid", "tclass", "dst", "state", "result", "error", "timer",
                  "resend", "retransmits", "sent_at", "first_sent", "_provider",
@@ -271,7 +271,7 @@ class TransactionHandle:
     def wait(self, timeout: float | None = None) -> "TransactionHandle":
         event = threading.Event()
         self.add_done_callback(lambda _: event.set())  # at once when done
-        if not event.wait(timeout):
+        if not self._provider._clock.wait(event, timeout):
             raise TransactionTimeout(f"tid {self.tid} still pending after wait")
         if self.error is not None:
             raise self.error

@@ -79,6 +79,60 @@ def test_virtual_clock_run_until_idle_and_pending():
     assert clock.pending() == 0
 
 
+def test_virtual_wait_fires_timers_in_order_until_the_event_is_set():
+    clock = VirtualClock()
+    event = threading.Event()
+    out = []
+    clock.call_later(0.2, lambda: (out.append("b"), event.set()))
+    clock.call_later(0.1, out.append, "a")
+    clock.call_later(0.3, out.append, "c")
+    assert clock.wait(event, 5.0)
+    assert out == ["a", "b"] and clock.now() == 0.2
+    assert clock.pending() == 1  # the later timer is left for its time
+
+
+def test_virtual_wait_stops_at_its_horizon():
+    clock = VirtualClock()
+    out = []
+    clock.call_later(0.1, out.append, "a")
+    clock.call_later(0.3, out.append, "b")
+    assert not clock.wait(threading.Event(), 0.25)
+    assert out == ["a"] and clock.now() == 0.25
+    assert clock.pending() == 1
+
+
+def test_virtual_wait_returns_at_once_with_no_timer_left():
+    clock = VirtualClock()
+    clock.call_later(0.1, lambda: None)
+    # without a timeout it would run for ever on a RealClock; here nothing
+    # else could set the event, so it returns once the heap is empty
+    assert not clock.wait(threading.Event())
+    assert clock.now() == 0.1
+    assert not clock.wait(threading.Event(), 2.0)
+    assert clock.now() == 2.1  # a finite wait still ends at its horizon
+
+
+def test_virtual_wait_on_a_set_event_returns_at_once():
+    clock = VirtualClock()
+    out = []
+    clock.call_later(0.0, out.append, "due")
+    event = threading.Event()
+    event.set()
+    assert clock.wait(event, 1.0)
+    assert out == [] and clock.now() == 0.0
+
+
+def test_real_clock_wait_blocks_on_the_event():
+    clock = RealClock()
+    try:
+        event = threading.Event()
+        assert not clock.wait(event, 0.01)
+        clock.call_later(0.01, event.set)
+        assert clock.wait(event, 2.0)
+    finally:
+        clock.close()
+
+
 def test_real_clock_fires_and_orders():
     clock = RealClock()
     try:

@@ -2,11 +2,13 @@
 
 import logging
 import threading
+import time
 
 import pytest
 
 from wapstack import gateway as gw, wml, wsp, wtls
-from wapstack.bearer import SimNetwork, UdpBearer
+from wapstack.bearer import ImpairmentProfile, SimNetwork, UdpBearer
+from wapstack.clock import VirtualClock
 from wapstack.useragent import (EmptyDeck, FetchResult, NoSuchLink,
                                 RenderedDeck, UserAgent, render)
 from wapstack.wdp import WdpAddress
@@ -194,4 +196,63 @@ def test_failed_handshake_leaves_no_thread_or_socket(real_clock, tmp_path):
                       identity=b"handset")
         assert set(threading.enumerate()) <= before
     finally:
+        service.close()
+
+
+def test_concurrent_connectionless_gets_each_get_their_own_reply(real_clock):
+    serve = gw.local_content_fetch({"/1": ("text/plain", b"1"),
+                                    "/2": ("text/plain", b"2")})
+
+    def slow_fetch(exchange):  # the replies cross: /1 takes longer than /2
+        time.sleep(0.2 if exchange.url.endswith("/1") else 0.05)
+        return serve(exchange)
+
+    net = SimNetwork(real_clock)
+    service = gw.Gateway(gw.GatewayConfig(), clock=real_clock, network=net,
+                         fetch=slow_fetch)
+    ua = UserAgent(WdpAddress("gateway", 9201), net.endpoint("handset"),
+                   clock=real_clock, timeout=2.0)
+    got = {}
+
+    def get(path):
+        try:
+            got[path] = ua.fetch("http://site" + path,
+                                 connectionless=True).reply.body
+        except Exception as exc:
+            got[path] = exc
+
+    threads = [threading.Thread(target=get, args=(path,))
+               for path in ("/1", "/2")]
+    try:
+        for thread in threads:
+            thread.start()
+            time.sleep(0.01)
+        for thread in threads:
+            thread.join(timeout=5.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {"/1": b"1", "/2": b"2"}
+    finally:
+        ua.close()
+        service.close()
+
+
+def test_a_late_connectionless_reply_is_counted_as_dropped():
+    # the Get's endpoint is closed when the Get times out, so the Reply
+    # finds no port bound and the WDP stack counts it
+    clock = VirtualClock()
+    net = SimNetwork(clock)
+    service = gw.Gateway(
+        gw.GatewayConfig(impairments=ImpairmentProfile(delay_ms=200)),
+        clock=clock, network=net, fetch=gw.local_content_fetch(PAGES))
+    service.connectionless._executor = None  # the handler runs inline
+    ua = UserAgent(WdpAddress("gateway", 9201), net.endpoint("handset"),
+                   clock=clock, timeout=0.05)
+    try:
+        with pytest.raises(wsp.RequestTimeout):
+            ua.fetch("http://site/plain", connectionless=True)
+        clock.advance(1.0)  # past the Reply's arrival at 0.2 s
+        assert ua._stack.dropped_count == 1
+        assert clock.now() == 1.05  # the Get waited out its 0.05 s
+    finally:
+        ua.close()
         service.close()

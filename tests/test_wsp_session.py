@@ -1,8 +1,8 @@
-"""Session lifecycle against a live in-process server (real clock, clean sim)."""
+"""Session lifecycle against a live in-process server on a clean sim
+network.  Most tests run on a VirtualClock, where each blocking call runs the
+clock on the test's own thread; one per client path runs on a RealClock."""
 
 import logging
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -20,45 +20,41 @@ def echo_handler(msg, ctx):
 
 
 class Rig:
-    def __init__(self, clock, handler=echo_handler, ttl=300.0):
-        self.net = SimNetwork(clock)
+    """A WSP server and a ``WspClient`` handset at ``cli``, on ``clock`` or
+    else a VirtualClock, with the server's handlers run inline."""
+
+    def __init__(self, clock=None, handler=echo_handler, ttl=300.0):
+        self.clock = clock or VirtualClock()
+        self.net = SimNetwork(self.clock)
         self.srv_provider = wtp.WtpProvider(
-            WdpStack(self.net.endpoint("gw")).bind(9201), clock)
-        self.server = wsp.WspServer(self.srv_provider, handler, clock,
+            WdpStack(self.net.endpoint("gw")).bind(9201), self.clock)
+        self.server = wsp.WspServer(self.srv_provider, handler, self.clock,
                                     session_ttl_s=ttl)
-        self.cli_provider = wtp.WtpProvider(
-            WdpStack(self.net.endpoint("cli")).bind_ephemeral(), clock)
+        self.cli_provider = self.handset("cli")
         self.client = wsp.WspClient(self.cli_provider, GW)
 
-    def extra_client(self, clock, addr):
-        provider = wtp.WtpProvider(
-            WdpStack(self.net.endpoint(addr)).bind_ephemeral(), clock)
-        return wsp.WspClient(provider, GW)
+    def handset(self, addr):
+        return wtp.WtpProvider(
+            WdpStack(self.net.endpoint(addr)).bind_ephemeral(), self.clock)
 
 
-class VirtualRig:
-    """The server on a VirtualClock, and handsets that each send one WSP
-    message at a time.  The clean sim network delivers at once, so an
-    exchange takes no virtual time."""
+class VirtualRig(Rig):
+    """Handsets on a VirtualClock that each send one WSP message at a time.
+    The clean sim network delivers at once, so an exchange takes no virtual
+    time."""
 
     TTL = 8.0  # with the step below, every instant is exact in binary
     STEP = 1 / 1024
 
     def __init__(self):
-        self.clock = VirtualClock()
-        self.net = SimNetwork(self.clock)
-        self.server = wsp.WspServer(
-            wtp.WtpProvider(WdpStack(self.net.endpoint("gw")).bind(9201),
-                            self.clock),
-            echo_handler, self.clock, session_ttl_s=self.TTL)
-        self._handsets = {}
+        super().__init__(ttl=self.TTL)
+        self._handsets = {"cli": self.cli_provider}
 
     def send(self, addr, pdu_type, **fields):
         """Send one message from handset ``addr``: a Suspend on class 0,
         anything else on class 2, whose decoded reply is returned."""
         if addr not in self._handsets:
-            self._handsets[addr] = wtp.WtpProvider(
-                WdpStack(self.net.endpoint(addr)).bind_ephemeral(), self.clock)
+            self._handsets[addr] = self.handset(addr)
         tclass = 0 if pdu_type == wsp.PDU_SUSPEND else 2
         handle = self._handsets[addr].invoke(
             GW, tclass, wsp.encode_message(wsp.WspMessage(pdu_type, **fields)))
@@ -69,8 +65,8 @@ class VirtualRig:
         return self.send(addr, wsp.PDU_CONNECT).session_id
 
 
-def test_connect_assigns_session_and_negotiates_headers(real_clock):
-    rig = Rig(real_clock)
+def test_connect_assigns_session_and_negotiates_headers():
+    rig = Rig()
     session = rig.client.connect([("User-Agent", "t/1"), ("Accept", "text/plain")])
     assert session.session_id > 0
     assert session.negotiated_headers == [("User-Agent", "t/1"),
@@ -88,8 +84,8 @@ def test_get_and_post_round_trip(real_clock):
     assert reply.body == b"POST /form|k=v"
 
 
-def test_suspend_resume_preserves_identity(real_clock):
-    rig = Rig(real_clock)
+def test_suspend_resume_preserves_identity():
+    rig = Rig()
     session = rig.client.connect([("User-Agent", "t/1")])
     sid = session.session_id
     negotiated = list(session.negotiated_headers)
@@ -104,16 +100,16 @@ def test_suspend_resume_preserves_identity(real_clock):
     assert session.get("/after").status == 200
 
 
-def test_methods_without_a_session_get_refused(real_clock):
-    rig = Rig(real_clock)
+def test_methods_without_a_session_get_refused():
+    rig = Rig()
     msg = wsp.WspMessage(wsp.PDU_GET, uri="/nope")
     handle = rig.cli_provider.invoke(GW, 2, wsp.encode_message(msg))
     reply = wsp.decode_message(handle.wait(5.0).result)
     assert reply.pdu_type == wsp.PDU_REPLY and reply.status == 400
 
 
-def test_resume_of_unknown_session_refused(real_clock):
-    rig = Rig(real_clock)
+def test_resume_of_unknown_session_refused():
+    rig = Rig()
     session = rig.client.connect()
     session.suspend()
     session.session_id = 9999  # simulate a gateway that lost our state
@@ -121,13 +117,11 @@ def test_resume_of_unknown_session_refused(real_clock):
         session.resume(timeout=5.0)
 
 
-def test_idle_suspended_sessions_are_evicted(real_clock):
-    rig = Rig(real_clock, ttl=0.1)
+def test_idle_suspended_sessions_are_evicted():
+    rig = Rig(ttl=0.1)
     session = rig.client.connect()
     session.suspend()
-    deadline = time.monotonic() + 5.0
-    while rig.server.session_count() and time.monotonic() < deadline:
-        time.sleep(0.02)
+    rig.clock.advance(0.1)
     assert rig.server.session_count() == 0
     with pytest.raises(wsp.ResumeRefused):
         session.resume(timeout=5.0)
@@ -176,21 +170,19 @@ def test_a_session_suspended_again_outlives_its_first_suspend():
     assert rig.server.session_count() == 0
 
 
-def test_connected_sessions_survive_the_ttl(real_clock):
-    rig = Rig(real_clock, ttl=0.1)
+def test_connected_sessions_survive_the_ttl():
+    rig = Rig(ttl=0.1)
     rig.client.connect()
-    time.sleep(0.4)
+    rig.clock.advance(0.4)
     assert rig.server.session_count() == 1
 
 
-def test_disconnect_forgets_the_session(real_clock):
-    rig = Rig(real_clock)
+def test_disconnect_forgets_the_session():
+    rig = Rig()
     session = rig.client.connect()
     session.disconnect()
     assert session.state == wsp.CLOSED
-    deadline = time.monotonic() + 5.0
-    while rig.server.session_count() and time.monotonic() < deadline:
-        time.sleep(0.02)
+    rig.clock.advance(0)  # the class-0 Disconnect arrives
     assert rig.server.session_count() == 0
     with pytest.raises(wsp.SessionNotConnected):
         session.get("/after-close")
@@ -198,8 +190,8 @@ def test_disconnect_forgets_the_session(real_clock):
         session.disconnect()
 
 
-def test_state_checks_on_suspend_resume(real_clock):
-    rig = Rig(real_clock)
+def test_state_checks_on_suspend_resume():
+    rig = Rig()
     session = rig.client.connect()
     with pytest.raises(wsp.WrongState):
         session.resume()
@@ -208,16 +200,16 @@ def test_state_checks_on_suspend_resume(real_clock):
         session.suspend()
 
 
-def test_two_clients_get_distinct_sessions(real_clock):
-    rig = Rig(real_clock)
+def test_two_clients_get_distinct_sessions():
+    rig = Rig()
     s1 = rig.client.connect()
-    s2 = rig.extra_client(real_clock, "cli2").connect()
+    s2 = wsp.WspClient(rig.handset("cli2"), GW).connect()
     assert s1.session_id != s2.session_id
     assert rig.server.session_count() == 2
 
 
-def test_a_second_connect_forgets_the_peer_s_connected_session(real_clock):
-    rig = Rig(real_clock)
+def test_a_second_connect_forgets_the_peer_s_connected_session():
+    rig = Rig()
     rig.client.connect()
     rig.client.connect()
     assert rig.server.session_count() == 1
@@ -245,11 +237,11 @@ def test_only_the_session_s_peer_can_suspend_it():
     assert rig.send("cli2", wsp.PDU_GET, uri="/b").status == 200
 
 
-def test_handler_exception_maps_to_500(real_clock, caplog):
+def test_handler_exception_maps_to_500(caplog):
     def broken(msg, ctx):
         raise RuntimeError("boom")
 
-    rig = Rig(real_clock, handler=broken)
+    rig = Rig(handler=broken)
     session = rig.client.connect()
     assert session.get("/kaboom").status == 500
     logged = [r for r in caplog.records if r.levelno == logging.ERROR]
@@ -332,37 +324,27 @@ def test_failed_reply_send_is_logged(caplog):
     assert type(error) is wtp.WtpError and str(error) == "provider closed"
 
 
-def test_method_past_its_timeout_aborts_the_transaction(real_clock):
+def test_method_past_its_timeout_aborts_the_transaction():
     # The gateway acknowledges the Get but answers after the caller's
     # timeout.  WTP alone would keep the handle pending after that Ack; the
     # session aborts it, so its tid is freed and the gateway is told.
-    def slow(msg, ctx):
-        time.sleep(0.5)
-        return echo_handler(msg, ctx)
-
-    executor = ThreadPoolExecutor(max_workers=1)
-    net = SimNetwork(real_clock)
-    srv_provider = wtp.WtpProvider(WdpStack(net.endpoint("gw")).bind(9201),
-                                   real_clock)
-    server = wsp.WspServer(srv_provider, slow, real_clock, executor=executor)
-    cli_provider = wtp.WtpProvider(
-        WdpStack(net.endpoint("cli")).bind_ephemeral(), real_clock)
-    try:
-        session = wsp.WspClient(cli_provider, GW).connect(timeout=5.0)
-        with pytest.raises(wtp.TransactionTimeout):
-            session.get("/slow", timeout=0.3)
-        assert [h for h in cli_provider._initiator.values()
-                if h.state not in (wtp.DONE, wtp.ABORTED)] == []
-        executor.shutdown(wait=True)
-        assert sorted(inv.state for inv in srv_provider._responder.values()) \
-            == [wtp.ABORTED, wtp.DONE]
-    finally:
-        executor.shutdown(wait=True)
-        cli_provider.close()
+    rig = Rig()
+    rig.server._executor = executor = _QueuedExecutor()  # run by the test
+    session = rig.client.connect(timeout=5.0)
+    with pytest.raises(wtp.TransactionTimeout):
+        session.get("/slow", timeout=0.3)
+    assert rig.clock.now() == 0.3
+    assert [h for h in rig.cli_provider._initiator.values()
+            if h.state not in (wtp.DONE, wtp.ABORTED)] == []
+    rig.clock.advance(0)  # the Abort arrives
+    [work] = executor.queued
+    work()  # the late reply is refused
+    assert sorted(inv.state for inv in rig.srv_provider._responder.values()) \
+        == [wtp.ABORTED, wtp.DONE]
 
 
-def test_malformed_wsp_payload_gets_400(real_clock):
-    rig = Rig(real_clock)
+def test_malformed_wsp_payload_gets_400():
+    rig = Rig()
     handle = rig.cli_provider.invoke(GW, 2, b"\x7f junk")
     reply = wsp.decode_message(handle.wait(5.0).result)
     assert reply.status == 400
@@ -374,11 +356,12 @@ def test_connectionless_get(real_clock):
     wsp.ConnectionlessResponder(cl_server, echo_handler)
     cl_client = WdpStack(rig.net.endpoint("cli-cl")).bind_ephemeral()
     reply = wsp.connectionless_get(cl_client, WdpAddress("gw-cl", 9200),
-                                   "/quick", timeout=5.0, request_id=42)
+                                   "/quick", real_clock, timeout=5.0)
     assert reply.status == 200 and reply.body == b"GET /quick|"
 
 
-def test_handlers_get_the_decoded_message(real_clock):
+def test_handlers_get_the_decoded_message(monkeypatch):
+    monkeypatch.setattr(wsp.os, "urandom", lambda n: bytes([7] * n))
     seen = []
 
     def recording(msg, ctx):
@@ -387,7 +370,7 @@ def test_handlers_get_the_decoded_message(real_clock):
 
     headers = [("User-Agent", "t/1"), ("X-Zeta", "z"), ("Accept", "text/plain"),
                ("X-Alpha", "a")]
-    rig = Rig(real_clock, handler=recording)
+    rig = Rig(handler=recording)
     session = rig.client.connect()
     session.get("/g?q=1", headers)
     session.post("/p", headers[::-1], body=b"\x00k=v\xff")
@@ -395,7 +378,7 @@ def test_handlers_get_the_decoded_message(real_clock):
     wsp.ConnectionlessResponder(cl_server, recording)
     cl_client = WdpStack(rig.net.endpoint("cli-cl")).bind_ephemeral()
     wsp.connectionless_get(cl_client, WdpAddress("gw-cl", 9200), "/c",
-                           headers, timeout=5.0, request_id=7)
+                           rig.clock, headers, timeout=5.0)
     got = [(type(msg), msg.pdu_type, msg.method, msg.uri, msg.headers,
             msg.body, ctx) for msg, ctx in seen]
     sid = session.session_id
@@ -415,23 +398,24 @@ def test_method_names_come_from_one_table():
         assert wsp.WspMessage(pdu_type).method is None
 
 
-def test_connectionless_timeout_when_unanswered(real_clock):
-    rig = Rig(real_clock)
+def test_connectionless_timeout_when_unanswered():
+    rig = Rig()
     cl_client = WdpStack(rig.net.endpoint("cli-cl")).bind_ephemeral()
     with pytest.raises(wsp.RequestTimeout):
         wsp.connectionless_get(cl_client, WdpAddress("nobody", 9200),
-                               "/void", timeout=0.2)
+                               "/void", rig.clock, timeout=0.2)
+    assert rig.clock.now() == 0.2
 
 
-def test_connectionless_get_leaves_its_endpoint_without_a_receiver(real_clock):
-    rig = Rig(real_clock)
+def test_connectionless_get_leaves_its_endpoint_without_a_receiver():
+    rig = Rig()
     cl_server = WdpStack(rig.net.endpoint("gw-cl")).bind(9200)
     wsp.ConnectionlessResponder(cl_server, echo_handler)
     cl_client = WdpStack(rig.net.endpoint("cli-cl")).bind_ephemeral()
     wsp.connectionless_get(cl_client, WdpAddress("gw-cl", 9200), "/a",
-                           timeout=5.0)
+                           rig.clock, timeout=5.0)
     assert cl_client._receiver is None
     with pytest.raises(wsp.RequestTimeout):
         wsp.connectionless_get(cl_client, WdpAddress("nobody", 9200), "/b",
-                               timeout=0.05)
+                               rig.clock, timeout=0.05)
     assert cl_client._receiver is None

@@ -355,6 +355,8 @@ class _WireEnd:
     def send(self, dst, data):
         self.wire.sent.append((self.addr.host, int.from_bytes(data[1:5], "big"),
                                data.hex()))
+        if self.wire.clock is not None:
+            self.wire.sent_at.append(self.wire.clock.now())
         self.wire.queue.append((self.addr, dst, data))
 
     def close(self):
@@ -362,9 +364,12 @@ class _WireEnd:
 
 
 class _Wire:
-    """Endpoints joined by one queue that the test pumps; every send is kept."""
+    """Endpoints joined by one queue that the test pumps; every send is kept,
+    and timed on ``clock`` when one is given."""
 
-    def __init__(self):
+    def __init__(self, clock=None):
+        self.clock = clock
+        self.sent_at = []  # clock.now() at each send
         self.sent = []     # (sender host, record seq, record hex) in send order
         self.queue = []
         self.nodes = {}
@@ -494,11 +499,11 @@ def test_client_opens_records_only_from_its_gateway():
     assert client.established and client.drop_count == 1
 
 
-def test_close_wakes_a_waiting_handshake():
+def test_close_wakes_a_waiting_handshake(real_clock):
     wire = _Wire()  # nothing answers the hello
     client = wtls.WtlsClientTransport(
         wire.endpoint(WdpAddress("c1", 1)), WdpAddress("server", 9201),
-        b"alice", PSK, wtls.MODE_FULL, VirtualClock(), rng=random.Random(1))
+        b"alice", PSK, wtls.MODE_FULL, real_clock, rng=random.Random(1))
     raised = []
 
     def run():
@@ -521,36 +526,18 @@ def test_close_wakes_a_waiting_handshake():
 
 def test_an_unanswered_handshake_gives_up_after_four_retries():
     clock = VirtualClock()
-    wire = _Wire()  # nothing answers the hello
+    wire = _Wire(clock)  # nothing answers the hello
     client = wtls.WtlsClientTransport(
         wire.endpoint(WdpAddress("c1", 1)), WdpAddress("server", 9201),
         b"alice", PSK, wtls.MODE_FULL, clock, rng=random.Random(1))
-    raised = []
-
-    def run():
-        try:
-            client.handshake(timeout=5.0)
-        except wtls.WtlsError as exc:
-            raised.append(exc)
-
-    waiter = threading.Thread(target=run)
-    waiter.start()
-    deadline = time.monotonic() + 2.0
-    while not clock.pending() and time.monotonic() < deadline:
-        time.sleep(0.01)  # until the hello is out and its timer armed
-    sent_at = [clock.now()] * len(wire.take())
-    while clock.now() < 2.25:
-        clock.advance(0.25)
-        sent_at += [clock.now()] * len(wire.take())
-    assert clock.pending() == 1
-    clock.advance(0.25)
-    assert clock.pending() == 0  # gave up at 2.5 s, and armed nothing more
-    waiter.join(timeout=2.0)
-    assert not waiter.is_alive()
-    assert sent_at == [0.0, 0.5, 1.0, 1.5, 2.0]
-    assert [(type(exc), str(exc)) for exc in raised] == [
-        (wtls.HandshakeTimeout, "no response after 4 retries")]
-    assert wire.sent == [] and not client.established
+    with pytest.raises(wtls.WtlsError) as raised:
+        client.handshake(timeout=5.0)  # runs the clock on this thread
+    assert (type(raised.value), str(raised.value)) == (
+        wtls.HandshakeTimeout, "no response after 4 retries")
+    assert wire.sent_at == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert clock.now() == 2.5  # it gave up at 2.5 s
+    assert clock.pending() == 0  # and armed nothing more
+    assert not client.established
 
 
 def test_half_open_peers_are_bounded_and_sessions_survive_a_hello_flood():

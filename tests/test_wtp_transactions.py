@@ -350,20 +350,32 @@ def test_close_completes_pending_handles():
     assert calls == [handle, handle]  # once at close, once when added late
 
 
-def test_wait_wakes_when_another_thread_completes_the_handle():
-    pair = Pair()
-    pair.responder = lambda inv: inv.respond(b"woken")
-    handle = pair.cli.invoke(SRV, 2, b"q")
+def test_wait_wakes_when_another_thread_completes_the_handle(real_clock):
+    # on a RealClock the clock's thread delivers the Result that the main
+    # thread sends, and completes the handle under the waiting thread
+    net = SimNetwork(real_clock)
+    cli = wtp.WtpProvider(WdpStack(net.endpoint("cli")).bind(1000),
+                          real_clock)
+    srv = wtp.WtpProvider(WdpStack(net.endpoint("srv")).bind(2000),
+                          real_clock)
+    invocations = []
+    srv.on_invoke = invocations.append
+    handle = cli.invoke(SRV, 2, b"q")
     outcome = []
     waiter = threading.Thread(
         target=lambda: outcome.append(handle.wait(5.0).result))
     waiter.start()
+    deadline = time.monotonic() + 2.0
+    while not invocations and time.monotonic() < deadline:
+        time.sleep(0.01)
     time.sleep(0.05)  # let the waiter block
     assert outcome == []
-    pair.clock.advance(0.01)
+    invocations[0].respond(b"woken")
     waiter.join(timeout=2.0)
     assert not waiter.is_alive()
     assert outcome == [b"woken"]
+    cli.close()
+    srv.close()
 
 
 def test_wait_on_a_finished_handle_returns_at_once():
@@ -387,7 +399,8 @@ def test_wait_with_timeout_on_a_pending_handle_raises():
     started = time.monotonic()
     with pytest.raises(wtp.TransactionTimeout):
         handle.wait(timeout=0.05)
-    assert time.monotonic() - started >= 0.04
+    assert pair.clock.now() == 0.05  # the wait ran the clock to its horizon
+    assert time.monotonic() - started < 1.0
     assert not handle.done
     # the handle still completes, and wait then returns
     pair.clock.run_until_idle(limit=30.0)
